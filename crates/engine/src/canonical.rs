@@ -37,8 +37,17 @@ pub struct CanonicalForm {
     pub instance: BatchInstance,
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls to [`canonicalize`] on this thread, so unit tests can pin
+    /// how often a request pays for canonicalization.
+    pub(crate) static CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Canonicalize an instance for `objective`.
 pub fn canonicalize(inst: &BatchInstance, objective: Objective) -> CanonicalForm {
+    #[cfg(test)]
+    CALLS.with(|calls| calls.set(calls.get() + 1));
     let instance = match inst {
         BatchInstance::One(one) => BatchInstance::One(canonical_one(one, objective)),
         BatchInstance::Multi(multi) => BatchInstance::Multi(canonical_multi(multi, objective)),

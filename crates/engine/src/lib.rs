@@ -175,6 +175,20 @@ pub struct Engine {
     metrics: MetricsRegistry,
 }
 
+/// A cache miss between [`Engine::lookup`] and [`Engine::solve_pending`]:
+/// the canonical form the router will solve (so a miss is canonicalized
+/// exactly once) plus what the result line and metrics still need.
+/// Owned and `Send`, so the solver half can run on another thread.
+#[derive(Debug)]
+pub struct Pending {
+    form: canonical::CanonicalForm,
+    flavor: &'static str,
+    jobs: usize,
+    objective: Objective,
+    shed: bool,
+    lookup_elapsed: std::time::Duration,
+}
+
 /// What the engine hands back for one request.
 #[derive(Clone, Debug)]
 pub struct RequestOutcome {
@@ -228,7 +242,8 @@ impl Engine {
 
     /// Solve one instance through the full canonicalize → cache → route
     /// pipeline. This is the shared engine loop: `run_batch` fans it out
-    /// over the ordered pool, the serve daemon calls it per request.
+    /// over the ordered pool; it is exactly [`Engine::lookup`] followed,
+    /// on a miss, by [`Engine::solve_pending`].
     ///
     /// With `shed` set the router runs a degraded config
     /// ([`RouterConfig::shed`]) and the result is **not** cached: a shed
@@ -242,40 +257,87 @@ impl Engine {
         objective: Objective,
         shed: bool,
     ) -> RequestOutcome {
+        match self.lookup(inst, objective, shed) {
+            Ok(hit) => hit,
+            Err(pending) => self.solve_pending(pending),
+        }
+    }
+
+    /// The cache half of [`Engine::solve_request`]: canonicalize and
+    /// read the cache. A hit is a finished answer — recorded in the
+    /// metrics and returned as `Ok`. A miss comes back as `Err` with the
+    /// canonical form it needs, for [`Engine::solve_pending`] to finish
+    /// (possibly later, on another thread); nothing is recorded for it
+    /// yet, so a miss that is never solved never counts as a request.
+    pub fn lookup(
+        &self,
+        inst: &BatchInstance,
+        objective: Objective,
+        shed: bool,
+    ) -> Result<RequestOutcome, Pending> {
         let request_start = Instant::now();
         let flavor = inst.kind_label();
         let jobs = inst.job_count();
         let form = canonical::canonicalize(inst, objective);
-        let (payload, solver, cache_hit) = match self.cache.get(&form.key) {
-            Some(cached) => (cached, None, true),
-            None if shed => {
-                let (kind, body) = router::solve_observed(
-                    &form.instance,
-                    objective,
-                    &self.config.router.shed(),
-                    Some(&self.metrics),
-                );
-                (format!("{body} solver={}", kind.name()), Some(kind), false)
+        match self.cache.get(&form.key) {
+            Some(payload) => {
+                let elapsed = request_start.elapsed();
+                self.metrics.record_request(None, true, shed, elapsed);
+                Ok(RequestOutcome {
+                    body: format!("{flavor} n={jobs} {payload}"),
+                    solver: None,
+                    cache_hit: true,
+                    shed,
+                    elapsed,
+                })
             }
-            None => {
-                let (kind, body) = router::solve_observed(
-                    &form.instance,
-                    objective,
-                    &self.config.router,
-                    Some(&self.metrics),
-                );
-                let payload = format!("{body} solver={}", kind.name());
-                self.cache.insert(form.key, payload.clone());
-                (payload, Some(kind), false)
-            }
+            None => Err(Pending {
+                form,
+                flavor,
+                jobs,
+                objective,
+                shed,
+                lookup_elapsed: request_start.elapsed(),
+            }),
+        }
+    }
+
+    /// The solver half of [`Engine::solve_request`]: route and solve a
+    /// miss from its carried canonical form, cache the result (unless
+    /// shed), and record the request. The recorded latency is the
+    /// lookup's time plus this call's, so time spent waiting between
+    /// the two halves (an admission queue) is not billed to the solver.
+    pub fn solve_pending(&self, pending: Pending) -> RequestOutcome {
+        let solve_start = Instant::now();
+        let Pending {
+            form,
+            flavor,
+            jobs,
+            objective,
+            shed,
+            lookup_elapsed,
+        } = pending;
+        let shed_router;
+        let router = if shed {
+            shed_router = self.config.router.shed();
+            &shed_router
+        } else {
+            &self.config.router
         };
-        let elapsed = request_start.elapsed();
+        let (kind, body) =
+            router::solve_observed(&form.instance, objective, router, Some(&self.metrics));
+        let payload = format!("{body} solver={}", kind.name());
+        let body = format!("{flavor} n={jobs} {payload}");
+        if !shed {
+            self.cache.insert(form.key, payload);
+        }
+        let elapsed = lookup_elapsed + solve_start.elapsed();
         self.metrics
-            .record_request(solver.map(SolverKind::name), cache_hit, shed, elapsed);
+            .record_request(Some(kind.name()), false, shed, elapsed);
         RequestOutcome {
-            body: format!("{flavor} n={jobs} {payload}"),
-            solver,
-            cache_hit,
+            body,
+            solver: Some(kind),
+            cache_hit: false,
             shed,
             elapsed,
         }
@@ -531,6 +593,50 @@ mod tests {
             let outcome = request_engine.solve_request(inst, Objective::Gaps, false);
             assert_eq!(format!("{i} {}", outcome.body), lines[i]);
         }
+    }
+
+    #[test]
+    fn lookup_then_solve_pending_is_solve_request() {
+        let batch = mixed_stream(40);
+        let composed = Engine::new(EngineConfig::default());
+        let split = Engine::new(EngineConfig::default());
+        // Two passes: the first is mostly misses, the second all hits.
+        for _ in 0..2 {
+            for inst in &batch {
+                let whole = composed.solve_request(inst, Objective::Power { alpha: 3 }, false);
+                let before = canonical::CALLS.with(|c| c.get());
+                let halves = match split.lookup(inst, Objective::Power { alpha: 3 }, false) {
+                    Ok(hit) => hit,
+                    Err(pending) => split.solve_pending(pending),
+                };
+                assert_eq!(
+                    canonical::CALLS.with(|c| c.get()) - before,
+                    1,
+                    "a request canonicalizes exactly once, hit or miss"
+                );
+                assert_eq!(halves.body, whole.body);
+                assert_eq!(halves.cache_hit, whole.cache_hit);
+                assert_eq!(halves.solver, whole.solver);
+            }
+        }
+        let (a, b) = (composed.metrics().snapshot(), split.metrics().snapshot());
+        assert_eq!((a.requests, a.cache_hits), (b.requests, b.cache_hits));
+        assert_eq!(b.requests, 80);
+        assert!(b.cache_hits >= 40, "the second pass is all hits");
+    }
+
+    #[test]
+    fn an_unsolved_miss_records_nothing() {
+        let engine = Engine::new(EngineConfig::default());
+        let inst = mixed_stream(1).pop().expect("one instance");
+        let pending = engine
+            .lookup(&inst, Objective::Gaps, false)
+            .expect_err("cold cache misses");
+        // Dropped unsolved, as when admission refuses it: no request,
+        // no miss, and nothing cached.
+        drop(pending);
+        assert_eq!(engine.metrics().snapshot().requests, 0);
+        assert!(engine.lookup(&inst, Objective::Gaps, false).is_err());
     }
 
     #[test]

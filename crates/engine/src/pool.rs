@@ -25,7 +25,8 @@
 //! under queue pressure — up to a hard `max_threads` cap — and shrinks
 //! back when the extra workers sit idle past a timeout. Growth happens
 //! on the submit path (all workers busy with jobs waiting, or the
-//! bounded queue momentarily full); shrink is each grown worker retiring
+//! admission limit reached — the grown worker then takes the refused
+//! job as its first task); shrink is each grown worker retiring
 //! itself after `idle_timeout` with no work. Elasticity never touches
 //! [`map_ordered`], whose index-reassembly determinism is
 //! worker-count-independent by construction. The idle-shrink timer is a
@@ -231,6 +232,9 @@ pub struct TaskPool {
     receiver: channel::Receiver<Job>,
     workers: Mutex<Vec<thread::JoinHandle<()>>>,
     max_threads: usize,
+    /// Jobs that may wait beyond one per live worker (see
+    /// [`TaskPool::try_submit`]).
+    queue_capacity: u64,
     idle_timeout: Duration,
 }
 
@@ -257,7 +261,8 @@ impl TaskPool {
     ) -> TaskPool {
         let core_threads = core_threads.max(1);
         let max_threads = max_threads.max(core_threads);
-        let (tx, rx) = channel::bounded::<Job>(queue_capacity.max(1));
+        let queue_capacity = queue_capacity.max(1);
+        let (tx, rx) = channel::bounded::<Job>(queue_capacity + max_threads);
         let gauges = Arc::new(PoolGauges::default());
         let workers = (0..core_threads)
             .map(|i| {
@@ -282,16 +287,18 @@ impl TaskPool {
             receiver: rx,
             workers: Mutex::new(workers),
             max_threads,
+            queue_capacity: queue_capacity as u64,
             idle_timeout,
         }
     }
 
-    /// Spawn one grown worker if the live count is below the cap.
-    /// Returns whether a worker was added. The slot is reserved with an
-    /// atomic compare-and-update, so concurrent submitters never
-    /// overshoot `max_threads`; no lock is held anywhere near the
-    /// worker's channel loop.
-    fn spawn_extra(&self) -> bool {
+    /// Spawn one grown worker if the live count is below the cap,
+    /// handing it `first` to run before it starts reading the queue.
+    /// Returns whether a worker was added; if not, `first` is dropped
+    /// unrun. The slot is reserved with an atomic compare-and-update,
+    /// so concurrent submitters never overshoot `max_threads`; no lock
+    /// is held anywhere near the worker's channel loop.
+    fn spawn_extra(&self, first: Option<Job>) -> bool {
         let cap = self.max_threads as u64;
         if self
             .gauges
@@ -311,6 +318,9 @@ impl TaskPool {
         let spawned = thread::Builder::new()
             .name(format!("gaps-worker-x{seq}"))
             .spawn(move || {
+                if let Some(job) = first {
+                    run_job(&gauges, job);
+                }
                 // Patience deadline, not a raw recv_timeout: the worker
                 // retires only once it has *accumulated* idle_timeout of
                 // continuous idleness, robust to early condvar wakeups.
@@ -351,14 +361,20 @@ impl TaskPool {
         if self.gauges.queued.load(SeqCst) > 0
             && self.gauges.active.load(SeqCst) >= self.gauges.workers.load(SeqCst)
         {
-            self.spawn_extra();
+            self.spawn_extra(None);
         }
     }
 
     /// Submit a job without blocking. `Err(Full)` is the backpressure
-    /// signal; `Err(Closed)` means the pool was shut down. On an
-    /// elastic pool a full queue first tries to grow a worker and
-    /// retries the send once before refusing.
+    /// signal; `Err(Closed)` means the pool was shut down.
+    ///
+    /// Admission counts jobs, not channel slots: a job is refused only
+    /// when `queue_capacity` jobs would wait beyond one per live worker.
+    /// A worker that has not yet woken to drain the queue therefore
+    /// never turns into a spurious `Full`; the channel carries
+    /// `max_threads` slots of slack for the jobs in that hand-over. Past
+    /// the limit an elastic pool grows one worker, which takes the job
+    /// as its first task; only at the worker cap does `Full` surface.
     pub fn try_submit<F>(&self, job: F) -> Result<(), SubmitError>
     where
         F: FnOnce() + Send + 'static,
@@ -371,35 +387,27 @@ impl TaskPool {
         };
         // Count before sending so a worker's decrement (which can only
         // follow a successful send) never underflows the gauge.
-        self.gauges.queued.fetch_add(1, SeqCst);
-        match sender.try_send(Box::new(job)) {
-            Ok(()) => {
-                self.maybe_grow();
-                Ok(())
-            }
-            Err(err) if err.is_full() && self.spawn_extra() => {
-                // Grew under a full queue: retry once so the admission
-                // that *triggered* the growth benefits from it.
-                match sender.try_send(err.into_inner()) {
-                    Ok(()) => Ok(()),
-                    Err(err) => {
-                        self.gauges.queued.fetch_sub(1, SeqCst);
-                        Err(if err.is_full() {
-                            SubmitError::Full
-                        } else {
-                            SubmitError::Closed
-                        })
-                    }
+        let queued = self.gauges.queued.fetch_add(1, SeqCst) + 1;
+        let mut job: Job = Box::new(job);
+        let limit = self.gauges.workers.load(SeqCst) + self.queue_capacity;
+        if queued + self.gauges.active.load(SeqCst) <= limit {
+            match sender.try_send(job) {
+                Ok(()) => {
+                    self.maybe_grow();
+                    return Ok(());
+                }
+                Err(err) if err.is_full() => job = err.into_inner(),
+                Err(_) => {
+                    self.gauges.queued.fetch_sub(1, SeqCst);
+                    return Err(SubmitError::Closed);
                 }
             }
-            Err(err) => {
-                self.gauges.queued.fetch_sub(1, SeqCst);
-                Err(if err.is_full() {
-                    SubmitError::Full
-                } else {
-                    SubmitError::Closed
-                })
-            }
+        }
+        if self.spawn_extra(Some(job)) {
+            Ok(())
+        } else {
+            self.gauges.queued.fetch_sub(1, SeqCst);
+            Err(SubmitError::Full)
         }
     }
 

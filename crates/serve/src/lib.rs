@@ -11,11 +11,14 @@
 //! `PING`/`STATS`/`DRAIN` control verbs and the `SESSION
 //! begin/arrive/step/end` online-session family). Every request flows
 //! through the same `canonicalize → cache → route → solve` loop as
-//! `gaps batch` ([`gaps_engine::Engine::solve_request`]), so a serve
-//! round-trip is bit-identical to the batch result line for the same
-//! instance — and an online session drives the same
-//! [`gaps_engine::OnlineTracker`] as `gaps batch --replay-online`, so
-//! its ratio line is bit-identical too.
+//! `gaps batch` ([`gaps_engine::Engine::solve_request`], split into its
+//! cache half [`gaps_engine::Engine::lookup`], run on the connection's
+//! reader, and its solver half [`gaps_engine::Engine::solve_pending`],
+//! run on the solve pool for misses only), so a serve round-trip is
+//! bit-identical to the batch result line for the same instance — and
+//! an online session drives the same [`gaps_engine::OnlineTracker`] as
+//! `gaps batch --replay-online`, so its ratio line is bit-identical
+//! too.
 //!
 //! The solve pool is *elastic*: [`ServeConfig::threads`] core workers
 //! are always running, and under queue pressure the pool grows up to
@@ -24,10 +27,11 @@
 //!
 //! Operationally the daemon is built around three pressure valves:
 //!
-//! * **Backpressure** — admission goes through a bounded
+//! * **Backpressure** — a cache miss is admitted to a bounded
 //!   [`gaps_engine::pool::TaskPool`] queue via a non-blocking submit; a
 //!   full queue answers `BUSY <id>` immediately instead of stalling
-//!   the connection.
+//!   the connection. Hits are answered before admission, so `BUSY`
+//!   only ever refuses solver time.
 //! * **Overload shedding** — an instance whose job count exceeds
 //!   [`ServeConfig::shed_jobs`], or any instance arriving while the
 //!   queue is at least [`ServeConfig::shed_depth`] deep, is solved with
@@ -70,7 +74,8 @@ pub struct ServeConfig {
     /// [`gaps_engine::pool::DEFAULT_IDLE_TIMEOUT`] idle. Clamped up to
     /// `threads` (a ceiling below the core count means "fixed pool").
     pub max_threads: usize,
-    /// Bounded admission-queue capacity; a full queue answers `BUSY`.
+    /// Bounded admission-queue capacity for cache misses; a full queue
+    /// answers `BUSY`.
     pub queue_capacity: usize,
     /// Maximum simultaneously served connections.
     pub max_conns: usize,
@@ -227,10 +232,12 @@ impl Server {
             })
         });
 
-        // Connection readers live in their own pool: `max_conns` workers,
-        // minimal queue, so connection over-admission is refused at
-        // accept time rather than parked invisibly.
-        let conn_pool = TaskPool::new(self.max_conns, 1);
+        // Connection readers live in their own pool: `max_conns` workers
+        // behind a queue as deep, so the capacity check below is the only
+        // limit — a burst of simultaneous connects is queued for readers
+        // that have not woken yet instead of being reset — and
+        // over-admission is refused at accept time with a reason.
+        let conn_pool = TaskPool::new(self.max_conns, self.max_conns);
         let mut next_conn_id = 0u64;
         while !self.shared.draining() {
             match self.listener.accept() {
@@ -241,7 +248,11 @@ impl Server {
                     }
                     // The accepted socket may inherit the listener's
                     // non-blocking mode; sessions want blocking reads.
-                    if stream.set_nonblocking(false).is_err() {
+                    // Replies are small lines: with Nagle's algorithm on,
+                    // one written while an earlier reply is still
+                    // unacknowledged would wait for the client's next
+                    // segment.
+                    if stream.set_nonblocking(false).is_err() || stream.set_nodelay(true).is_err() {
                         continue;
                     }
                     let conn_id = next_conn_id;
@@ -333,6 +344,35 @@ mod tests {
         assert!(server.shared.should_shed(9));
         // Empty queue (depth 0) < 1000, so depth alone does not shed.
         assert!(!server.shared.should_shed(1));
+    }
+
+    #[test]
+    fn served_sockets_disable_nagle() {
+        use std::io::{BufRead, BufReader, Write};
+        let server = Server::bind(ServeConfig {
+            listen: "127.0.0.1:0".to_string(),
+            ..ServeConfig::default()
+        })
+        .expect("bind");
+        let addr = server.local_addr().expect("addr");
+        let shared = Arc::clone(&server.shared);
+        let (tx, done) = crossbeam::channel::unbounded();
+        pool::background("nodelay-daemon", move || {
+            let _ = tx.send(server.run().is_ok());
+        });
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let mut reader = BufReader::new(client.try_clone().expect("clone"));
+        client.write_all(b"PING\n").expect("send");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reply");
+        assert_eq!(line, "PONG\n");
+        // The registered handle shares the served socket's options.
+        let conns = shared.conns.lock();
+        assert_eq!(conns.len(), 1);
+        assert!(conns[0].1.nodelay().expect("read TCP_NODELAY"));
+        drop(conns);
+        client.write_all(b"DRAIN\n").expect("send");
+        assert_eq!(done.recv().ok(), Some(true), "daemon exits cleanly");
     }
 
     #[test]

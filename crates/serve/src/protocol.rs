@@ -35,7 +35,8 @@
 //!                         `gaps batch` result line minus its index
 //! ERR <id> <reason>       request failed; `-` as <id> when the frame
 //!                         was too mangled to carry one
-//! BUSY <id>               admission queue full — backpressure, retry
+//! BUSY <id>               cache miss refused: admission queue full —
+//!                         backpressure, retry (hits are never refused)
 //! PONG                    PING reply
 //! STATS v3 … STATS end    snapshot block, one `stat <key> <value>`
 //!                         line per metric (v2 added pool_workers,

@@ -4,8 +4,11 @@
 //! One reader thread per connection (drawn from the connection pool)
 //! owns the read half; the write half sits behind a `parking_lot` mutex
 //! shared with every solve-pool worker answering this connection's
-//! requests, so responses from different requests interleave whole-line
-//! at a time. The writer lock is a leaf: nothing else is ever acquired
+//! cache misses, so responses from different requests interleave
+//! whole-line at a time. Cache hits never reach the pool: the reader
+//! answers them before admission, so a hit's `RES` may overtake the
+//! replies to earlier misses on the same connection (ids correlate
+//! them). The writer lock is a leaf: nothing else is ever acquired
 //! under it, and no channel operation happens while it is held.
 //!
 //! `SESSION` frames are the exception to the fan-out model: an online
@@ -69,11 +72,10 @@ fn send_stats(shared: &Shared, writer: &Mutex<TcpStream>) {
 
 /// RAII ownership of one request's liveness bookkeeping: the in-flight
 /// gauge and the per-connection duplicate-id set. Dropping the claim —
-/// on the happy path, on an early return, or while a solver panic
-/// unwinds through the pool's `catch_unwind` — releases both. Before
-/// this guard existed the worker closure cleaned up only after a
-/// successful `send_line`, so a panicking solver leaked the gauge and
-/// poisoned the id forever.
+/// on the happy path, when admission refuses the job that owns it, or
+/// while a solver panic unwinds through the pool's `catch_unwind` —
+/// releases both. Answers drop the claim *before* writing their reply,
+/// so a client may reuse an id as soon as it has read the answer.
 struct InflightClaim {
     shared: Arc<Shared>,
     inflight: Arc<Mutex<HashSet<String>>>,
@@ -81,17 +83,22 @@ struct InflightClaim {
 }
 
 impl InflightClaim {
-    fn enter(
-        shared: Arc<Shared>,
-        inflight: Arc<Mutex<HashSet<String>>>,
-        id: String,
-    ) -> InflightClaim {
-        shared.engine.metrics().inflight_enter();
-        InflightClaim {
-            shared,
-            inflight,
-            id,
+    /// Claim `id` for this connection, or `None` if it is already in
+    /// flight.
+    fn try_enter(
+        shared: &Arc<Shared>,
+        inflight: &Arc<Mutex<HashSet<String>>>,
+        id: &str,
+    ) -> Option<InflightClaim> {
+        if !inflight.lock().insert(id.to_string()) {
+            return None;
         }
+        shared.engine.metrics().inflight_enter();
+        Some(InflightClaim {
+            shared: Arc::clone(shared),
+            inflight: Arc::clone(inflight),
+            id: id.to_string(),
+        })
     }
 }
 
@@ -102,6 +109,9 @@ impl Drop for InflightClaim {
     }
 }
 
+/// Answer one `REQ`. Cache hits are finished answers, so the reader
+/// thread writes them itself; only misses are submitted to the solve
+/// pool, and so only misses can be refused with `BUSY`.
 fn handle_req(
     shared: &Arc<Shared>,
     writer: &Arc<Mutex<TcpStream>>,
@@ -122,41 +132,48 @@ fn handle_req(
             return;
         }
     };
-    if !inflight.lock().insert(id.clone()) {
+    let Some(claim) = InflightClaim::try_enter(shared, inflight, &id) else {
         metrics.record_protocol_error();
         send_line(
             writer,
             &format!("ERR {id} duplicate request id; still in flight"),
         );
         return;
-    }
+    };
     // The shed decision is made at admission (not inside the worker) so
     // it reflects the queue state the request actually experienced.
     let shed = shared.should_shed(inst.job_count());
+    let pending = match shared.engine.lookup(&inst, shared.objective, shed) {
+        Ok(hit) => {
+            drop(claim);
+            send_line(writer, &format!("RES {id} {}", hit.body));
+            return;
+        }
+        Err(pending) => pending,
+    };
     let job = {
         let shared = Arc::clone(shared);
         let writer = Arc::clone(writer);
-        let inflight = Arc::clone(inflight);
         let id = id.clone();
         move || {
-            let claim =
-                InflightClaim::enter(Arc::clone(&shared), Arc::clone(&inflight), id.clone());
-            let metrics = shared.engine.metrics();
-            metrics.set_queue_depth(shared.pool.queued());
-            let outcome = shared.engine.solve_request(&inst, shared.objective, shed);
-            send_line(&writer, &format!("RES {id} {}", outcome.body));
+            shared
+                .engine
+                .metrics()
+                .set_queue_depth(shared.pool.queued());
+            let outcome = shared.engine.solve_pending(pending);
             drop(claim);
+            send_line(&writer, &format!("RES {id} {}", outcome.body));
         }
     };
+    // A refused job is dropped inside `try_submit`, and its claim with
+    // it, before the refusal below is written.
     match shared.pool.try_submit(job) {
         Ok(()) => metrics.set_queue_depth(shared.pool.queued()),
         Err(SubmitError::Full) => {
             metrics.record_rejected();
-            inflight.lock().remove(&id);
             send_line(writer, &format!("BUSY {id}"));
         }
         Err(SubmitError::Closed) => {
-            inflight.lock().remove(&id);
             send_line(writer, &format!("ERR {id} shutting down"));
         }
     }
@@ -283,8 +300,10 @@ pub(crate) fn serve_connection(shared: Arc<Shared>, conn_id: u64, stream: TcpStr
             Ok(Some(Frame::Ping)) => send_line(&writer, "PONG"),
             Ok(Some(Frame::Stats)) => send_stats(&shared, &writer),
             Ok(Some(Frame::Drain)) => {
-                shared.request_drain();
+                // Acknowledge first: once the flag flips, the accept loop
+                // may shut this socket down before a later write lands.
                 send_line(&writer, "DRAINING");
+                shared.request_drain();
             }
             Ok(Some(Frame::Req { id, text })) => {
                 handle_req(&shared, &writer, &inflight, id, text);
@@ -351,10 +370,12 @@ mod tests {
     fn inflight_claim_releases_on_solver_panic() {
         let shared = shared();
         let inflight: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
-        assert!(inflight.lock().insert("r1".to_string()));
-        let claim =
-            InflightClaim::enter(Arc::clone(&shared), Arc::clone(&inflight), "r1".to_string());
+        let claim = InflightClaim::try_enter(&shared, &inflight, "r1").expect("fresh id");
         assert_eq!(shared.engine.metrics().snapshot().in_flight, 1);
+        assert!(
+            InflightClaim::try_enter(&shared, &inflight, "r1").is_none(),
+            "a claimed id is a duplicate"
+        );
         let unwound = catch_unwind(AssertUnwindSafe(move || {
             let _claim = claim;
             panic!("solver stub panics");
@@ -370,7 +391,7 @@ mod tests {
             "request id leaked past the panic"
         );
         // A retry under the same id must be admissible again.
-        assert!(inflight.lock().insert("r1".to_string()));
+        assert!(InflightClaim::try_enter(&shared, &inflight, "r1").is_some());
         shared.pool.shutdown();
     }
 
@@ -378,9 +399,7 @@ mod tests {
     fn inflight_claim_releases_on_happy_path_drop() {
         let shared = shared();
         let inflight: Arc<Mutex<HashSet<String>>> = Arc::new(Mutex::new(HashSet::new()));
-        inflight.lock().insert("ok".to_string());
-        let claim =
-            InflightClaim::enter(Arc::clone(&shared), Arc::clone(&inflight), "ok".to_string());
+        let claim = InflightClaim::try_enter(&shared, &inflight, "ok").expect("fresh id");
         drop(claim);
         assert_eq!(shared.engine.metrics().snapshot().in_flight, 0);
         assert!(!inflight.lock().contains("ok"));

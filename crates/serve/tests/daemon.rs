@@ -11,7 +11,9 @@ use gaps_engine::pool;
 use gaps_engine::{split_stream, Engine, EngineConfig, MetricsSnapshot, Objective};
 use gaps_serve::protocol::{encode_payload, MAX_FRAME_BYTES};
 use gaps_serve::{ServeConfig, Server};
-use gaps_workloads::streams;
+use gaps_workloads::{multi_interval, serialize, streams};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -100,17 +102,19 @@ impl Client {
     }
 }
 
-/// A distinct ~3.5ms instance: 16 jobs over a dense 90-slot pattern is
+/// A distinct slow instance: 16 jobs over a dense 90-slot pattern is
 /// routed to the exponential-in-jobs `multi_exact` solver, so one of
-/// these occupies a worker for ~1000× the cost of admitting a request —
+/// these occupies a worker far longer than admitting a request takes —
 /// which makes queue-full behaviour deterministic to provoke. `salt`
-/// perturbs the slot pattern so repeated requests miss the cache.
+/// perturbs the slot pattern so repeated requests miss the cache: its
+/// parity picks the pattern's phase and the rest drops one of job 0's
+/// slots, so every salt below 90 gives a different canonical instance.
 fn heavy_instance_text(salt: usize) -> String {
     let mut out = String::from("multi v1\n");
     for job in 0..16 {
         out.push_str("job");
         for t in 0..90 {
-            if (t + job + salt).is_multiple_of(2) {
+            if (t + job + salt).is_multiple_of(2) && !(job == 0 && t / 2 == salt / 2) {
                 out.push_str(&format!(" {t}"));
             }
         }
@@ -179,6 +183,7 @@ fn malformed_input_corpus_is_answered_with_err_and_the_daemon_survives() {
     // behind slow blockers deterministically.
     let daemon = start(ServeConfig {
         threads: 1,
+        max_threads: 1,
         ..ServeConfig::default()
     });
     let mut client = Client::connect(daemon.addr);
@@ -216,10 +221,10 @@ fn malformed_input_corpus_is_answered_with_err_and_the_daemon_survives() {
     assert_eq!(client.recv(), "ERR - frame is not valid UTF-8");
     // Duplicate in-flight id: stack five slow blockers onto the single
     // worker, then send the same id twice back-to-back. The first copy
-    // is parked in the queue behind ~17ms of blockers when the reader
+    // is parked in the queue behind ~40ms of blockers when the reader
     // (µs later) meets the second — which must be rejected.
-    let mut burst = String::new();
-    for i in 0..5 {
+    let mut burst = format!("REQ blk-0 {}\n", blocker_payload());
+    for i in 1..5 {
         burst.push_str(&format!(
             "REQ blk-{i} {}\n",
             encode_payload(&heavy_instance_text(i))
@@ -266,15 +271,17 @@ fn malformed_input_corpus_is_answered_with_err_and_the_daemon_survives() {
 fn full_queue_answers_busy_instead_of_stalling() {
     let daemon = start(ServeConfig {
         threads: 1,
+        max_threads: 1,
         queue_capacity: 1,
         ..ServeConfig::default()
     });
     let mut client = Client::connect(daemon.addr);
-    // Flood 40 distinct slow requests in one write. With one worker
-    // (~3.5ms per solve) and a one-slot queue, the reader admits at
-    // most a couple before every subsequent submit sees a full queue.
-    let mut flood = String::new();
-    for i in 0..40 {
+    // Flood 40 distinct slow requests in one write, led by a blocker.
+    // With one worker (no elastic growth) and a one-slot queue, the
+    // reader admits at most a couple before every subsequent submit
+    // sees a full queue.
+    let mut flood = format!("REQ f-0 {}\n", blocker_payload());
+    for i in 1..40 {
         flood.push_str(&format!(
             "REQ f-{i} {}\n",
             encode_payload(&heavy_instance_text(i))
@@ -508,4 +515,167 @@ fn requests_after_drain_are_refused() {
     );
     let snapshot = daemon.finish();
     assert_eq!(snapshot.requests, 1);
+}
+
+/// One instance that keeps a worker busy for tens of milliseconds: an
+/// 18-job banded multi-interval instance whose branch-and-bound must
+/// open (about 40 ms single-threaded on a 2-CPU x86 box), so requests
+/// sent right behind it reliably find the one-worker pool saturated.
+fn blocker_payload() -> String {
+    let mut rng = StdRng::seed_from_u64(2);
+    let inst = multi_interval::banded(&mut rng, 18, 3, 8, 2);
+    encode_payload(&serialize::multi_to_text(&inst))
+}
+
+/// A small one-interval request payload, distinct per `k` to the cache
+/// (one job whose window is `k + 1` slots wide).
+fn small_payload(k: usize) -> String {
+    format!("instance v1;processors 1;job 0 {}", k + 1)
+}
+
+#[test]
+fn warmed_hits_are_answered_inline_while_the_pool_is_saturated() {
+    let daemon = start(ServeConfig {
+        threads: 1,
+        max_threads: 1,
+        queue_capacity: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(daemon.addr);
+    for k in 0..10 {
+        client.send(&format!("REQ w-{k} {}", small_payload(k)));
+        assert!(client.recv().starts_with(&format!("RES w-{k} ")));
+    }
+    // One write: a blocker that holds the only worker, then distinct
+    // heavy misses interleaved with warmed hits. The one-slot queue
+    // refuses most misses; the hits never reach the pool, so none of
+    // them may be refused.
+    let mut flood = format!("REQ blk {}\n", blocker_payload());
+    for i in 0..30 {
+        flood.push_str(&format!(
+            "REQ f-{i} {}\nREQ h-{i} {}\n",
+            encode_payload(&heavy_instance_text(i)),
+            small_payload(i % 10)
+        ));
+    }
+    client.send_raw(flood.as_bytes());
+    let (mut solved, mut busy, mut hits) = (0u64, 0u64, 0u64);
+    for _ in 0..61 {
+        let line = client.recv();
+        let mut words = line.split(' ');
+        let verb = words.next();
+        let class = words.next().map(|id| id.split('-').next());
+        match (verb, class) {
+            (Some("RES"), Some(Some("h"))) => hits += 1,
+            (Some("RES"), Some(Some("f" | "blk"))) => solved += 1,
+            (Some("BUSY"), Some(Some("f"))) => busy += 1,
+            _ => panic!("unexpected reply: {line:?}"),
+        }
+    }
+    assert_eq!(hits, 30, "every warmed hit is answered");
+    assert!(busy >= 1, "the saturated pool pushes back on misses");
+    client.send("STATS");
+    let rows = client.recv_stats();
+    let stat = |key: &str| -> u64 {
+        rows.get(key)
+            .unwrap_or_else(|| panic!("missing stat {key}"))
+            .parse()
+            .expect("numeric stat")
+    };
+    assert_eq!(stat("requests"), stat("cache_hits") + stat("cache_misses"));
+    assert_eq!(
+        stat("requests"),
+        10 + hits + solved,
+        "refused misses are not requests"
+    );
+    assert_eq!(stat("cache_hits"), hits);
+    assert_eq!(stat("rejected"), busy, "only misses are ever refused");
+    assert_eq!(stat("in_flight"), 0);
+    client.send("DRAIN");
+    assert_eq!(client.recv(), "DRAINING");
+    daemon.finish();
+}
+
+#[test]
+fn a_hit_whose_id_is_in_flight_on_the_pool_is_a_duplicate() {
+    let daemon = start(ServeConfig {
+        threads: 1,
+        max_threads: 1,
+        queue_capacity: 16,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(daemon.addr);
+    client.send(&format!("REQ warm {}", small_payload(0)));
+    assert!(client.recv().starts_with("RES warm "));
+    // Park a miss under id `x` behind a slow blocker, then reuse `x`
+    // for a request the cache could answer at once: the id check comes
+    // first, so the hit is refused rather than answered.
+    let burst = format!(
+        "REQ blk {}\nREQ x {}\nREQ x {}\n",
+        blocker_payload(),
+        encode_payload(&heavy_instance_text(40)),
+        small_payload(0)
+    );
+    client.send_raw(burst.as_bytes());
+    let replies: Vec<String> = (0..3).map(|_| client.recv()).collect();
+    let dup = replies
+        .iter()
+        .position(|l| l.starts_with("ERR x duplicate request id"))
+        .unwrap_or_else(|| panic!("no duplicate-id refusal in {replies:?}"));
+    let res = replies
+        .iter()
+        .position(|l| l.starts_with("RES x multi n=16 "))
+        .unwrap_or_else(|| panic!("the parked miss was not answered: {replies:?}"));
+    assert!(dup < res, "the refusal is immediate: {replies:?}");
+    assert!(
+        replies.iter().any(|l| l.starts_with("RES blk ")),
+        "{replies:?}"
+    );
+    client.send("DRAIN");
+    assert_eq!(client.recv(), "DRAINING");
+    let snapshot = daemon.finish();
+    assert_eq!(snapshot.requests, 3, "{snapshot}");
+    assert_eq!(snapshot.in_flight, 0, "{snapshot}");
+}
+
+#[test]
+fn an_id_is_reusable_as_soon_as_its_answer_is_read() {
+    let daemon = start(ServeConfig::default());
+    let mut client = Client::connect(daemon.addr);
+    for k in 0..200 {
+        client.send(&format!("REQ same {}", small_payload(k)));
+        let line = client.recv();
+        assert!(
+            line.starts_with("RES same one n=1 "),
+            "iteration {k}: {line:?}"
+        );
+    }
+    client.send("DRAIN");
+    assert_eq!(client.recv(), "DRAINING");
+    let snapshot = daemon.finish();
+    assert_eq!(
+        snapshot.cache_misses, 200,
+        "every request was a miss: {snapshot}"
+    );
+    assert_eq!(snapshot.protocol_errors, 0, "{snapshot}");
+}
+
+#[test]
+fn simultaneous_connects_are_all_served() {
+    let daemon = start(ServeConfig {
+        max_conns: 8,
+        ..ServeConfig::default()
+    });
+    // Connect all eight before any speaks: they land in the listen
+    // backlog together and the accept loop takes them back to back.
+    let mut clients: Vec<Client> = (0..8).map(|_| Client::connect(daemon.addr)).collect();
+    for client in &mut clients {
+        client.send("PING");
+    }
+    for client in &mut clients {
+        assert_eq!(client.recv(), "PONG");
+    }
+    clients[0].send("DRAIN");
+    assert_eq!(clients[0].recv(), "DRAINING");
+    daemon.finish();
 }

@@ -95,9 +95,7 @@ fn escape(s: &str) -> String {
 /// multi-interval fifth was scaled again (12-job/2-slot `feasible_slots`
 /// → 14-job/3-slot `banded`) alongside the `multi_exact` solver it now
 /// routes to, so trajectory numbers before that change are not directly
-/// comparable. The multi sizes sit inside the *brute-force* router caps
-/// on purpose: the same batch must be solvable with `use_multi_exact`
-/// off to measure the win (see [`engine_trajectory`]).
+/// comparable.
 pub fn mixed_batch(count: usize) -> Vec<BatchInstance> {
     let mut rng = StdRng::seed_from_u64(0xBA7C4);
     (0..count)
@@ -112,9 +110,9 @@ pub fn mixed_batch(count: usize) -> Vec<BatchInstance> {
 }
 
 /// The scaled multi-interval bench family on its own: banded feasible
-/// instances at the brute-force router ceiling (14 jobs), alternating
-/// band shapes. Feeds the `multi_exact`-vs-`brute_force` comparison in
-/// [`engine_trajectory`] and the `bench_multi_exact` criterion group.
+/// 12–14-job instances, alternating band shapes. Feeds the
+/// `multi_cold/multi_exact` row of [`engine_trajectory`] and the
+/// `bench_multi_exact` criterion group.
 pub fn multi_batch(count: usize) -> Vec<BatchInstance> {
     let mut rng = StdRng::seed_from_u64(0x4D171);
     (0..count)
@@ -207,44 +205,31 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
         samples,
     });
 
-    // Multi-interval exact path: the optimized solver vs the brute-force
-    // reference on the same scaled batch (cold cache per sample, one
-    // thread — this is a solver comparison, not a scaling test).
+    // Multi-interval exact path on the scaled batch (cold cache per
+    // sample, one thread — a solver measurement, not a scaling test).
     let multi = multi_batch((instances / 5).max(20));
-    let mut exact_medians = Vec::new();
-    for (name, use_multi_exact) in [
-        ("multi_cold/multi_exact", true),
-        ("multi_cold/brute_force", false),
-    ] {
-        let median = median_wall(samples, || {
-            let engine = Engine::new(EngineConfig {
-                threads: 1,
-                router: gaps_engine::RouterConfig {
-                    use_multi_exact,
-                    ..gaps_engine::RouterConfig::default()
-                },
-                ..EngineConfig::default()
-            });
-            let (lines, report) = engine.run_batch(&multi, Objective::Gaps);
-            assert_eq!(lines.len(), multi.len());
-            let expected = if use_multi_exact {
-                "multi_exact"
-            } else {
-                "brute_force"
-            };
-            assert_eq!(
-                report.solver_counts.get(expected).copied().unwrap_or(0) as u64,
-                report.cache_misses,
-                "whole batch must take the {expected} path"
-            );
+    let multi_cold = median_wall(samples, || {
+        let engine = Engine::new(EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
         });
-        exact_medians.push(median);
-        suite.results.push(PerfResult {
-            name: name.to_string(),
-            median_ns: median.as_nanos(),
-            samples,
-        });
-    }
+        let (lines, report) = engine.run_batch(&multi, Objective::Gaps);
+        assert_eq!(lines.len(), multi.len());
+        assert_eq!(
+            report
+                .solver_counts
+                .get("multi_exact")
+                .copied()
+                .unwrap_or(0) as u64,
+            report.cache_misses,
+            "whole batch must take the multi_exact path"
+        );
+    });
+    suite.results.push(PerfResult {
+        name: "multi_cold/multi_exact".to_string(),
+        median_ns: multi_cold.as_nanos(),
+        samples,
+    });
 
     // PR-10 levers, measured solver-side (no engine cache in the way).
     // (a) Decomposition: the production decomposed path vs a monolithic
@@ -332,10 +317,6 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
         .derived
         .push(("warm_hit_rate".to_string(), warm_hit_rate));
     suite.derived.push((
-        "multi_exact_speedup_over_brute_force".to_string(),
-        exact_medians[1].as_secs_f64() / exact_medians[0].as_secs_f64().max(f64::EPSILON),
-    ));
-    suite.derived.push((
         "decomposition_speedup".to_string(),
         undec.as_secs_f64() / dec.as_secs_f64().max(f64::EPSILON),
     ));
@@ -363,12 +344,11 @@ mod tests {
     fn trajectory_produces_benchmarks_and_derived_metrics() {
         let suite = engine_trajectory(20, 1);
         assert_eq!(suite.suite, "engine");
-        assert_eq!(suite.results.len(), 10);
+        assert_eq!(suite.results.len(), 9);
         assert!(suite.results.iter().all(|r| r.median_ns > 0));
         let names: Vec<&str> = suite.derived.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"warm_hit_rate"));
         assert!(names.contains(&"speedup_threads4_over_threads1"));
-        assert!(names.contains(&"multi_exact_speedup_over_brute_force"));
         assert!(names.contains(&"decomposition_speedup"));
         assert!(names.contains(&"multi_exact_parallel_speedup"));
         let hit_rate = suite

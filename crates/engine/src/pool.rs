@@ -59,49 +59,7 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let total = items.len();
-    if total == 0 {
-        return Vec::new();
-    }
-    // More workers than items would just be idle OS threads (and an
-    // absurd request, e.g. `--threads 500000`, would die in spawn).
-    let threads = threads.clamp(1, total);
-    let (work_tx, work_rx) = channel::bounded::<(usize, T)>(threads * 2);
-    let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
-    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    crossbeam::scope(|s| {
-        for _ in 0..threads {
-            let work_rx = work_rx.clone();
-            let result_tx = result_tx.clone();
-            let f = &f;
-            s.spawn(move |_| {
-                for (index, item) in work_rx {
-                    // The collector only disappears early if a sibling
-                    // panicked; stop quietly and let the scope re-raise.
-                    if result_tx.send((index, f(index, item))).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        // Only workers hold live clones now; when the feeder below drops
-        // `work_tx`, their intake iterators end.
-        drop(work_rx);
-        drop(result_tx);
-        for pair in items.into_iter().enumerate() {
-            work_tx.send(pair).expect("a worker is alive to receive");
-        }
-        drop(work_tx);
-        for _ in 0..total {
-            let (index, value) = result_rx.recv().expect("every item yields a result");
-            results[index] = Some(value);
-        }
-    })
-    .expect("worker threads join");
-    results
-        .into_iter()
-        .map(|r| r.expect("every index was filled"))
-        .collect()
+    map_ordered_counted(items, threads, f).0
 }
 
 /// [`map_ordered`] with per-worker task accounting: returns the results
@@ -123,6 +81,8 @@ where
     if total == 0 {
         return (Vec::new(), vec![0; threads.max(1)]);
     }
+    // More workers than items would just be idle OS threads (and an
+    // absurd request, e.g. `--threads 500000`, would die in spawn).
     let threads = threads.clamp(1, total);
     let executed: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let (work_tx, work_rx) = channel::bounded::<(usize, T)>(threads * 2);
@@ -136,12 +96,16 @@ where
             s.spawn(move |_| {
                 for (index, item) in work_rx {
                     counter.fetch_add(1, SeqCst);
+                    // The collector only disappears early if a sibling
+                    // panicked; stop quietly and let the scope re-raise.
                     if result_tx.send((index, f(index, item))).is_err() {
                         break;
                     }
                 }
             });
         }
+        // Only workers hold live clones now; when the feeder below drops
+        // `work_tx`, their intake iterators end.
         drop(work_rx);
         drop(result_tx);
         for pair in items.into_iter().enumerate() {

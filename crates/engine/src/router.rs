@@ -1,9 +1,10 @@
 //! Portfolio routing: pick the right solver for each instance's shape.
 //!
 //! The paper's algorithms have sharply different sweet spots — Baptiste's
-//! single-processor DP, the Theorem 1/2 multiprocessor DPs, exhaustive
-//! search (only viable on small multi-interval instances), and the
-//! Theorem 3 approximation (power only, but polynomial for any size).
+//! single-processor DP, the Theorem 1/2 multiprocessor DPs, the
+//! multi-interval branch-and-bound (exponential in the coupled job count,
+//! so capped), and the Theorem 3 approximation (power only, but
+//! polynomial for any size).
 //! Related work makes the same point from the other direction:
 //! Baptiste–Chrobak–Dürr (arXiv:0908.3505) and Bidlingmaier's greedy
 //! minimum-energy scheduling (arXiv:2307.00949) both key their algorithm
@@ -19,7 +20,7 @@ use crate::{BatchInstance, Objective};
 use gaps_core::instance::Instance;
 use gaps_core::time::run_count;
 use gaps_core::{
-    baptiste, brute_force, lower_bounds, multi_exact, multi_interval, multiproc_dp, power, power_dp,
+    baptiste, lower_bounds, multi_exact, multi_interval, multiproc_dp, power, power_dp,
 };
 
 /// Every solver the portfolio can dispatch to.
@@ -36,14 +37,9 @@ pub enum SolverKind {
     MultiprocDp,
     /// Theorem 2 multiprocessor power DP.
     PowerDp,
-    /// Optimized multi-interval exact solver (branch-and-bound with
-    /// memoization; see [`gaps_core::multi_exact`]). Precedes
-    /// [`SolverKind::BruteForce`] in the multi-interval chain.
+    /// Multi-interval exact solver (branch-and-bound with memoization;
+    /// see [`gaps_core::multi_exact`]).
     MultiExact,
-    /// Exhaustive reference solver (small multi-interval instances only;
-    /// kept as the differential oracle and reachable when
-    /// [`RouterConfig::use_multi_exact`] is off).
-    BruteForce,
     /// Theorem 3 `(1 + (2/3 + ε)α)`-approximation (multi-interval power).
     Theorem3Approx,
     /// Lemma 3 completion: any feasible schedule, ≤ 1 gap per job — an
@@ -64,7 +60,6 @@ impl SolverKind {
             SolverKind::MultiprocDp => "multiproc_dp",
             SolverKind::PowerDp => "power_dp",
             SolverKind::MultiExact => "multi_exact",
-            SolverKind::BruteForce => "brute_force",
             SolverKind::Theorem3Approx => "theorem3_approx",
             SolverKind::Lemma3Greedy => "lemma3_greedy",
             SolverKind::LowerBound => "lower_bound",
@@ -112,42 +107,31 @@ impl FallbackSolver {
     }
 }
 
-/// Router knobs: when exhaustive search is allowed and what to do when it
-/// is not.
+/// Smallest job count worth fanning a single instance's subtrees out
+/// over the pool; below it the sequential solve wins on overhead.
+const PARALLEL_MIN_JOBS: usize = 17;
+
+/// Local-search rounds for the Theorem 3 set packing (the paper's ε).
+const APPROX_ROUNDS: usize = 64;
+
+/// Router knobs: how large a multi-interval instance the exact solver
+/// takes, how many workers it gets, and what to do past its caps.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
-    /// Exhaustive search is allowed only up to this many live slots…
-    pub exact_max_slots: usize,
-    /// …and this many jobs.
-    pub exact_max_jobs: usize,
-    /// Route in-range multi-interval instances to the optimized exact
-    /// solver ([`SolverKind::MultiExact`]) instead of the brute-force
-    /// reference. On by default; turning it off restores the seed
-    /// routing (used by the perf trajectory to measure the win and by
-    /// differential experiments).
-    pub use_multi_exact: bool,
-    /// The optimized exact solver's state space is exponential in the
-    /// *job* count, not the slot count — and component decomposition
-    /// means only the largest coupled core pays that cost — so it
-    /// accepts far more slots…
+    /// The exact solver's state space is exponential in the *job* count,
+    /// not the slot count — and component decomposition means only the
+    /// largest coupled core pays that cost — so it accepts many slots…
     pub multi_exact_max_slots: usize,
-    /// …and far more jobs than the brute-force ceiling (64 is the
-    /// solver's hard mask-width cap).
+    /// …but at most this many jobs (64 is the solver's hard mask-width
+    /// cap; 0 sends every multi-interval instance to the fallback chain).
     pub multi_exact_max_jobs: usize,
     /// Intra-instance workers for the parallel branch-and-bound. `0`
     /// means *inherit the engine's worker-thread count* (resolved by
     /// `Engine::new`); `1` forces the sequential path.
     pub multi_exact_threads: usize,
-    /// Smallest job count worth fanning a single instance's subtrees out
-    /// over the pool; below it the sequential solve wins on overhead.
-    /// The default (one above the old 16-job cap) parallelizes exactly
-    /// the instances this ceiling-raise admits.
-    pub multi_exact_parallel_min_jobs: usize,
-    /// Local-search rounds for the Theorem 3 set packing (the paper's ε).
-    pub approx_rounds: usize,
-    /// Tried in order for multi-interval instances too large for
-    /// exhaustive search; the first chain entry applicable to the
-    /// objective wins. An empty or inapplicable chain degrades to
+    /// Tried in order for multi-interval instances past the exact
+    /// solver's caps; the first chain entry applicable to the objective
+    /// wins. An empty or inapplicable chain degrades to
     /// [`FallbackSolver::LowerBound`].
     pub fallback: Vec<FallbackSolver>,
 }
@@ -155,14 +139,9 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
-            exact_max_slots: 64,
-            exact_max_jobs: 14,
-            use_multi_exact: true,
             multi_exact_max_slots: 384,
             multi_exact_max_jobs: 64,
             multi_exact_threads: 0,
-            multi_exact_parallel_min_jobs: 17,
-            approx_rounds: 64,
             fallback: vec![FallbackSolver::Theorem3Approx, FallbackSolver::Lemma3Greedy],
         }
     }
@@ -170,15 +149,13 @@ impl Default for RouterConfig {
 
 impl RouterConfig {
     /// Degraded copy used under overload shedding: the exponential
-    /// multi-interval exact solvers are switched off entirely, so every
+    /// multi-interval exact solver is switched off, so every
     /// multi-interval instance flows straight down the (polynomial)
     /// fallback chain. One-interval routing is untouched — the DPs are
     /// polynomial and not worth shedding.
     pub fn shed(&self) -> RouterConfig {
         RouterConfig {
-            exact_max_slots: 0,
-            exact_max_jobs: 0,
-            use_multi_exact: false,
+            multi_exact_max_jobs: 0,
             ..self.clone()
         }
     }
@@ -243,14 +220,8 @@ pub fn route(feat: &Features, objective: Objective, cfg: &RouterConfig) -> Solve
             Objective::Gaps | Objective::Spans => SolverKind::MultiprocDp,
         };
     }
-    if cfg.use_multi_exact
-        && feat.slots <= cfg.multi_exact_max_slots
-        && feat.jobs <= cfg.multi_exact_max_jobs
-    {
+    if feat.slots <= cfg.multi_exact_max_slots && feat.jobs <= cfg.multi_exact_max_jobs {
         return SolverKind::MultiExact;
-    }
-    if feat.slots <= cfg.exact_max_slots && feat.jobs <= cfg.exact_max_jobs {
-        return SolverKind::BruteForce;
     }
     cfg.fallback
         .iter()
@@ -322,8 +293,7 @@ pub fn solve_observed(
             // only where the subtree overhead pays for itself: several
             // configured threads *and* a job count above the sequential
             // sweet spot. Both paths are bit-identical.
-            let parallel = cfg.multi_exact_threads > 1
-                && multi.job_count() >= cfg.multi_exact_parallel_min_jobs;
+            let parallel = cfg.multi_exact_threads > 1 && multi.job_count() >= PARALLEL_MIN_JOBS;
             let (result, stats) = if parallel {
                 crate::parallel::solve_multi_parallel(
                     multi,
@@ -338,21 +308,11 @@ pub fn solve_observed(
             }
             exact(objective.label(), result.map(|(v, _)| v))
         }
-        (SolverKind::BruteForce, BatchInstance::Multi(multi)) => {
-            let value = match objective {
-                Objective::Gaps => brute_force::min_gaps_multi(multi).map(|(v, _)| v),
-                Objective::Spans => brute_force::min_spans_multi(multi).map(|(v, _)| v),
-                Objective::Power { alpha } => {
-                    brute_force::min_power_multi(multi, alpha).map(|(v, _)| v)
-                }
-            };
-            exact(objective.label(), value)
-        }
         (SolverKind::Theorem3Approx, BatchInstance::Multi(multi)) => {
             let Objective::Power { alpha } = objective else {
                 unreachable!("Theorem3Approx only routes for the power objective")
             };
-            match multi_interval::approx_min_power(multi, alpha as f64, cfg.approx_rounds) {
+            match multi_interval::approx_min_power(multi, alpha as f64, APPROX_ROUNDS) {
                 Some(res) => format!("power<={:.2}", res.power),
                 None => "infeasible".to_string(),
             }
@@ -409,6 +369,7 @@ fn forced_chain(inst: &Instance, objective: Objective) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gaps_core::brute_force;
     use gaps_core::instance::{Instance, MultiInstance};
 
     fn one(windows: &[(i64, i64)], p: u32) -> BatchInstance {
@@ -443,21 +404,6 @@ mod tests {
         assert_eq!(
             pick(&multi(&[vec![0, 2], vec![1]]), gaps),
             SolverKind::MultiExact
-        );
-
-        // The deliberately unoptimized oracle stays reachable when the
-        // optimized path is switched off.
-        let oracle_only = RouterConfig {
-            use_multi_exact: false,
-            ..RouterConfig::default()
-        };
-        assert_eq!(
-            route(
-                &features(&multi(&[vec![0, 2], vec![1]])),
-                gaps,
-                &oracle_only
-            ),
-            SolverKind::BruteForce
         );
 
         // 80 jobs clears even the raised 64-job multi-exact ceiling.
@@ -495,6 +441,32 @@ mod tests {
             route(&features(&multi(&too_many_jobs)), Objective::Gaps, &cfg),
             SolverKind::Lemma3Greedy
         );
+    }
+
+    #[test]
+    fn shed_sends_multi_to_the_fallback_chain_only() {
+        let cfg = RouterConfig::default();
+        let shed = cfg.shed();
+        let pick = |inst: &BatchInstance, obj, cfg: &RouterConfig| route(&features(inst), obj, cfg);
+        // Even a 1-job multi-interval instance skips the exact solver.
+        let tiny = multi(&[vec![3, 4]]);
+        assert_eq!(pick(&tiny, Objective::Gaps, &cfg), SolverKind::MultiExact);
+        assert_eq!(
+            pick(&tiny, Objective::Gaps, &shed),
+            SolverKind::Lemma3Greedy
+        );
+        let power = Objective::Power { alpha: 2 };
+        assert_eq!(pick(&tiny, power, &shed), SolverKind::Theorem3Approx);
+        // One-interval routing is unchanged.
+        for inst in [
+            one(&[(0, 0), (2, 2)], 1),
+            one(&[(0, 1), (2, 2)], 1),
+            one(&[(0, 1)], 2),
+        ] {
+            for obj in [Objective::Gaps, Objective::Spans, power] {
+                assert_eq!(pick(&inst, obj, &shed), pick(&inst, obj, &cfg));
+            }
+        }
     }
 
     #[test]
@@ -543,15 +515,13 @@ mod tests {
         assert_eq!(kind, SolverKind::MultiExact);
         assert_eq!(payload, "gaps=0");
 
-        // Same instance through the oracle: identical payload, different
-        // solver tag — the bit-identical-optimum contract in miniature.
-        let oracle = RouterConfig {
-            use_multi_exact: false,
-            ..RouterConfig::default()
+        // The exhaustive oracle agrees — the bit-identical-optimum
+        // contract in miniature.
+        let BatchInstance::Multi(raw) = &small else {
+            unreachable!()
         };
-        let (kind, oracle_payload) = solve(&small, Objective::Gaps, &oracle);
-        assert_eq!(kind, SolverKind::BruteForce);
-        assert_eq!(oracle_payload, "gaps=0");
+        let oracle = brute_force::min_gaps_multi(raw).map(|(v, _)| v);
+        assert_eq!(payload, exact("gaps", oracle));
 
         let big: Vec<Vec<i64>> = (0..80).map(|i| vec![2 * i, 2 * i + 1]).collect();
         let big = multi(&big);

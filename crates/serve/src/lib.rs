@@ -88,9 +88,9 @@ pub struct ServeConfig {
     pub shed_depth: u64,
     /// Print a metrics snapshot to stderr this often (default: off).
     pub report_interval: Option<Duration>,
-    /// Engine (cache + router) configuration. The engine's own
-    /// `threads` field is ignored here; the serve pool uses
-    /// [`ServeConfig::threads`].
+    /// Engine (cache + router) configuration. Its `threads` field is
+    /// replaced by [`ServeConfig::threads`], so an "inherit" (0) router
+    /// `multi_exact_threads` resolves to the serve pool's core size.
     pub engine: EngineConfig,
 }
 
@@ -161,14 +161,12 @@ impl Server {
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| format!("cannot bind {}: {e}", config.listen))?;
         // `--threads` doubles as the intra-instance worker count for big
-        // multi-interval instances: an "inherit" (0) router setting picks
-        // up the serve pool's core size rather than the engine default.
-        let mut engine_config = config.engine.clone();
-        if engine_config.router.multi_exact_threads == 0 {
-            engine_config.router.multi_exact_threads = config.threads.max(1);
-        }
+        // multi-interval instances (`Engine::new` resolves "inherit").
         let shared = Arc::new(Shared {
-            engine: Engine::new(engine_config),
+            engine: Engine::new(EngineConfig {
+                threads: config.threads,
+                ..config.engine.clone()
+            }),
             pool: TaskPool::elastic(
                 config.threads,
                 config.max_threads.max(config.threads),

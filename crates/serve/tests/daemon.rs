@@ -533,6 +533,31 @@ fn small_payload(k: usize) -> String {
     format!("instance v1;processors 1;job 0 {}", k + 1)
 }
 
+/// `--threads` is also the intra-instance worker count: a coupled
+/// 18-job request fans its branch-and-bound out into subtree tasks on a
+/// two-worker daemon and stays sequential on a one-worker daemon.
+#[test]
+fn serve_threads_drive_the_parallel_branch_and_bound() {
+    for (threads, parallel) in [(2, true), (1, false)] {
+        let daemon = start(ServeConfig {
+            threads,
+            max_threads: threads,
+            ..ServeConfig::default()
+        });
+        let mut client = Client::connect(daemon.addr);
+        client.send(&format!("REQ heavy {}", blocker_payload()));
+        let reply = client.recv();
+        assert!(reply.contains("solver=multi_exact"), "{reply}");
+        client.send("STATS");
+        let rows = client.recv_stats();
+        let tasks: u64 = rows["search.subtree_tasks"].parse().unwrap();
+        assert_eq!(tasks > 0, parallel, "threads {threads}: {tasks} tasks");
+        client.send("DRAIN");
+        assert_eq!(client.recv(), "DRAINING");
+        daemon.finish();
+    }
+}
+
 #[test]
 fn warmed_hits_are_answered_inline_while_the_pool_is_saturated() {
     let daemon = start(ServeConfig {

@@ -151,8 +151,7 @@ usage:
   gaps info     --input FILE
   gaps solve    --input FILE [--objective gaps|spans|power] [--alpha N]
   gaps batch    --input FILE [--objective gaps|spans|power] [--alpha N]
-                [--threads N] [--cache-capacity N] [--exact-slots N]
-                [--exact-jobs N] [--multi-exact true|false]
+                [--threads N] [--cache-capacity N]
                 [--fallback approx,greedy,bound]
                 [--replay-online timeout|sleep|never]
                 (--threads N also parallelises branch-and-bound inside
@@ -169,20 +168,51 @@ usage:
   gaps lint     [--root DIR] [--format text|json] [--rules list]
                 [--baseline FILE] [--dot FILE|-]";
 
+/// The flags each subcommand reads. Any other flag is a usage error, so
+/// a typo (`--thread 2`) cannot silently run with the default.
+const FLAGS: &[(&str, &str)] = &[
+    ("info", "input"),
+    ("solve", "input objective alpha"),
+    (
+        "batch",
+        "input objective alpha threads cache-capacity fallback replay-online",
+    ),
+    ("approx", "input alpha rounds"),
+    ("simulate", "input alpha policy"),
+    (
+        "generate",
+        "kind seed n horizon slack processors pattern max-gap",
+    ),
+    (
+        "serve",
+        "listen threads max-threads queue max-conns objective alpha shed-jobs shed-depth \
+         report-interval cache-capacity",
+    ),
+    ("lint", "root format rules baseline dot"),
+];
+
 /// Parsed `--flag value` arguments plus the leading subcommand.
 struct Args {
     command: String,
     flags: BTreeMap<String, String>,
 }
 
+/// Split `<command> --flag value ...`, rejecting flags the command does
+/// not read. An unknown command is left for the dispatcher to report.
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut it = args.iter();
     let command = it.next().ok_or("missing subcommand")?.clone();
+    let known = FLAGS.iter().find(|(cmd, _)| *cmd == command);
     let mut flags = BTreeMap::new();
     while let Some(flag) = it.next() {
         let key = flag
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got {flag:?}"))?;
+        if let Some((_, allowed)) = known {
+            if !allowed.split_whitespace().any(|f| f == key) {
+                return Err(format!("unknown flag --{key} for gaps {command}"));
+            }
+        }
         let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
         flags.insert(key.to_string(), value.clone());
     }
@@ -312,7 +342,10 @@ fn cmd_solve(args: &Args) -> Result<String, String> {
             // Exact solving is exponential in the (decomposed) job
             // count; guard with the multi-exact solver's router caps and
             // be explicit about it.
-            if inst.slot_union().len() > 384 || inst.job_count() > 64 {
+            let caps = gap_scheduling::engine::RouterConfig::default();
+            if inst.slot_union().len() > caps.multi_exact_max_slots
+                || inst.job_count() > caps.multi_exact_max_jobs
+            {
                 return Err(
                     "multi-interval exact solving is exponential; instance too large \
                      (use `gaps approx` for the Theorem 3 approximation)"
@@ -347,34 +380,24 @@ fn cmd_batch(args: &Args) -> Result<String, String> {
         args.get("objective").unwrap_or("gaps"),
         args.parse_or("alpha", 1u64)?,
     )?;
-    let defaults = gap_scheduling::engine::RouterConfig::default();
-    let fallback = match args.get("fallback") {
-        None => defaults.fallback,
-        Some(list) => list
+    // The default router's `multi_exact_threads` (0 = inherit
+    // `--threads`) is resolved by `Engine::new`, so the same knob that
+    // fans the batch out also powers the intra-instance parallel
+    // branch-and-bound on big instances.
+    let mut router = gap_scheduling::engine::RouterConfig::default();
+    if let Some(list) = args.get("fallback") {
+        router.fallback = list
             .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .map(gap_scheduling::engine::FallbackSolver::parse)
-            .collect::<Result<_, _>>()?,
-    };
+            .collect::<Result<_, _>>()?;
+    }
     let config = gap_scheduling::engine::EngineConfig {
         threads: args.parse_or("threads", 4usize)?,
         cache_capacity: args.parse_or("cache-capacity", 4096usize)?,
         cache_shards: 16,
-        router: gap_scheduling::engine::RouterConfig {
-            exact_max_slots: args.parse_or("exact-slots", defaults.exact_max_slots)?,
-            exact_max_jobs: args.parse_or("exact-jobs", defaults.exact_max_jobs)?,
-            use_multi_exact: args.parse_or("multi-exact", defaults.use_multi_exact)?,
-            multi_exact_max_slots: defaults.multi_exact_max_slots,
-            multi_exact_max_jobs: defaults.multi_exact_max_jobs,
-            // 0 = inherit `--threads`: `Engine::new` resolves it, so the
-            // same knob that fans the batch out also powers the
-            // intra-instance parallel branch-and-bound on big instances.
-            multi_exact_threads: defaults.multi_exact_threads,
-            multi_exact_parallel_min_jobs: defaults.multi_exact_parallel_min_jobs,
-            approx_rounds: args.parse_or("rounds", defaults.approx_rounds)?,
-            fallback,
-        },
+        router,
     };
     let engine = gap_scheduling::engine::Engine::new(config);
     if let Some(policy) = args.get("replay-online") {
@@ -611,6 +634,47 @@ mod tests {
     }
 
     #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        let err = run_str(&["batch", "--input", "-", "--multi-exact", "false"]).unwrap_err();
+        assert_eq!(err, "unknown flag --multi-exact for gaps batch");
+        let err = run_str(&["batch", "--input", "-", "--thread", "2"]).unwrap_err();
+        assert_eq!(err, "unknown flag --thread for gaps batch");
+        // A flag valid for one subcommand is still unknown to another.
+        assert!(run_str(&["info", "--input", "-", "--threads", "2"]).is_err());
+        assert!(lint_str(&["lint", "--input", "x"]).is_err());
+    }
+
+    #[test]
+    fn usage_and_flag_lists_agree() {
+        // Every flag USAGE documents is accepted by its subcommand, and
+        // every accepted flag is documented.
+        let mut documented: Vec<(String, String)> = Vec::new();
+        let mut command = String::new();
+        for line in USAGE.lines() {
+            if let Some(rest) = line.trim_start().strip_prefix("gaps ") {
+                command = rest.split_whitespace().next().unwrap().to_string();
+            }
+            for token in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = token.strip_prefix("--") {
+                    documented.push((command.clone(), flag.to_string()));
+                }
+            }
+        }
+        for (cmd, flag) in &documented {
+            let raw = [cmd.clone(), format!("--{flag}"), "v".to_string()];
+            assert!(parse_args(&raw).is_ok(), "gaps {cmd} rejects --{flag}");
+        }
+        for (cmd, flags) in FLAGS {
+            for flag in flags.split_whitespace() {
+                assert!(
+                    documented.contains(&(cmd.to_string(), flag.to_string())),
+                    "gaps {cmd} --{flag} is missing from USAGE"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn generate_then_info_then_solve() {
         let text = run_str(&[
             "generate",
@@ -702,6 +766,19 @@ mod tests {
         let path = write_temp("big.txt", &serialize::multi_to_text(&inst));
         let err = run_str(&["solve", "--input", &path]).unwrap_err();
         assert!(err.contains("exponential"));
+
+        // 65 one-slot jobs: one past the 64-job cap, well inside the slot
+        // cap. `solve` refuses; `batch` answers via the fallback chain.
+        let times: Vec<Vec<i64>> = (0..65).map(|i| vec![2 * i]).collect();
+        let inst = MultiInstance::from_times(times).unwrap();
+        let path = write_temp("cap65.txt", &serialize::multi_to_text(&inst));
+        let err = run_str(&["solve", "--input", &path]).unwrap_err();
+        assert!(err.contains("exponential"), "{err}");
+        let out = run_str(&["batch", "--input", &path, "--threads", "1"]).unwrap();
+        assert!(
+            out.starts_with("0 multi n=65 gaps<=") && out.contains("solver=lemma3_greedy"),
+            "{out}"
+        );
     }
 
     #[test]

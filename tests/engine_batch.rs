@@ -13,9 +13,7 @@
 //! multiprocessor DPs), so agreement is a genuine cross-validation, not
 //! an identity.
 
-use gap_scheduling::engine::{
-    split_stream, BatchInstance, Engine, EngineConfig, Objective, RouterConfig,
-};
+use gap_scheduling::engine::{split_stream, BatchInstance, Engine, EngineConfig, Objective};
 use gap_scheduling::workloads::streams;
 use gap_scheduling::{brute_force, multiproc_dp, power_dp};
 use std::io::Write;
@@ -87,6 +85,11 @@ fn cli_output_is_byte_identical_across_thread_counts() {
     }
 }
 
+/// Largest multi-interval instance the exhaustive oracle checks: the
+/// range where it is cheap.
+const ORACLE_MAX_SLOTS: usize = 64;
+const ORACLE_MAX_JOBS: usize = 14;
+
 /// Reference payload computed with solvers the engine's router mostly
 /// does *not* pick for the instance (multiprocessor DPs for `p = 1`
 /// instances, exhaustive search for small multi-interval instances).
@@ -99,15 +102,11 @@ fn reference_value(inst: &BatchInstance, objective: Objective) -> Option<Option<
             Objective::Power { alpha } => power_dp::min_power_value(one, alpha),
         }),
         BatchInstance::Multi(multi) => {
-            // Gate on the *brute-force* caps: inside them the oracle is
-            // cheap and the engine (whichever exact path it routes to —
-            // `multi_exact` by default) must bit-match it. Beyond them
-            // the oracle is too slow even where the engine still answers
-            // exactly via `multi_exact`.
-            let cfg = RouterConfig::default();
-            if multi.slot_union().len() > cfg.exact_max_slots
-                || multi.job_count() > cfg.exact_max_jobs
-            {
+            // Gate on where the exhaustive oracle is cheap: inside it the
+            // engine's `multi_exact` answer must bit-match the oracle.
+            // Beyond it the oracle is too slow even where the engine
+            // still answers exactly.
+            if multi.slot_union().len() > ORACLE_MAX_SLOTS || multi.job_count() > ORACLE_MAX_JOBS {
                 return None;
             }
             Some(match objective {

@@ -81,8 +81,11 @@ fn bench_decomposable(c: &mut Criterion) {
 }
 
 /// PR-10 lever (b): the shared-incumbent parallel branch-and-bound on
-/// coupled cores decomposition cannot split — every iteration re-checks
-/// the bit-identical-optimum contract between worker counts.
+/// coupled cores decomposition cannot split, against the sequential
+/// solver the router uses below its fan-out gate. `n18` is the shape of
+/// `serve_mixed_open`'s heavy requests. Every iteration asserts the
+/// sequential value *and* schedule, so the CI smoke run re-checks the
+/// parallel/sequential agreement at each worker count.
 fn bench_coupled_core(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0xC09EB);
     let mut group = c.benchmark_group("multi_exact_coupled");
@@ -90,17 +93,27 @@ fn bench_coupled_core(c: &mut Criterion) {
         ("n18", multi_interval::banded(&mut rng, 18, 3, 8, 2)),
         ("n20", multi_interval::banded(&mut rng, 20, 3, 8, 2)),
     ] {
-        let (reference, _) = solve_multi_parallel(&inst, MultiObjective::Gaps, 1);
+        let (reference, stats) = multi_exact::solve_multi_stats(&inst, MultiObjective::Gaps);
+        assert!(stats.nodes_expanded > 0, "{label} must open the search");
+        group.bench_with_input(BenchmarkId::new("sequential", label), &inst, |b, inst| {
+            b.iter(|| {
+                let (res, _) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
+                assert_eq!(res, reference, "sequential solve is not deterministic");
+            })
+        });
         for threads in [1usize, 2, 8] {
-            let (res, _) = solve_multi_parallel(&inst, MultiObjective::Gaps, threads);
-            assert_eq!(
-                res, reference,
-                "optimum diverged at {threads} workers on {label}"
-            );
             group.bench_with_input(
                 BenchmarkId::new(format!("threads{threads}"), label),
                 &inst,
-                |b, inst| b.iter(|| solve_multi_parallel(inst, MultiObjective::Gaps, threads)),
+                |b, inst| {
+                    b.iter(|| {
+                        let (res, _) = solve_multi_parallel(inst, MultiObjective::Gaps, threads);
+                        assert_eq!(
+                            res, reference,
+                            "optimum diverged at {threads} workers on {label}"
+                        );
+                    })
+                },
             );
         }
     }

@@ -265,7 +265,8 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     });
 
     // (b) Parallel branch-and-bound: the shared-incumbent subtree
-    // fan-out at 8 workers vs 1 on coupled cores decomposition cannot
+    // fan-out at 8 workers vs the sequential solver the router uses
+    // below the fan-out gate, on coupled cores decomposition cannot
     // split. Optima and witness schedules must be bit-identical — a
     // nondeterministic speedup would be worthless.
     let coupled: Vec<_> = coupled_batch((instances / 10).max(10))
@@ -277,30 +278,31 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
         .collect();
     let reference: Vec<_> = coupled
         .iter()
-        .map(|inst| gaps_engine::parallel::solve_multi_parallel(inst, MultiObjective::Gaps, 1).0)
+        .map(|inst| multi_exact::solve_multi_stats(inst, MultiObjective::Gaps).0)
         .collect();
-    let mut parallel_medians = Vec::new();
-    for threads in [1usize, 8] {
-        let median = median_wall(samples, || {
-            for (inst, expect) in coupled.iter().zip(&reference) {
-                let (res, _) = gaps_engine::parallel::solve_multi_parallel(
-                    inst,
-                    MultiObjective::Gaps,
-                    threads,
-                );
-                assert_eq!(
-                    &res, expect,
-                    "parallel optimum diverged at {threads} workers"
-                );
-            }
-        });
-        parallel_medians.push(median);
-        suite.results.push(PerfResult {
-            name: format!("multi_parallel/threads={threads}"),
-            median_ns: median.as_nanos(),
-            samples,
-        });
-    }
+    let sequential = median_wall(samples, || {
+        for inst in &coupled {
+            let (res, _) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
+            assert!(res.is_some());
+        }
+    });
+    suite.results.push(PerfResult {
+        name: "multi_sequential/coupled".to_string(),
+        median_ns: sequential.as_nanos(),
+        samples,
+    });
+    let parallel = median_wall(samples, || {
+        for (inst, expect) in coupled.iter().zip(&reference) {
+            let (res, _) =
+                gaps_engine::parallel::solve_multi_parallel(inst, MultiObjective::Gaps, 8);
+            assert_eq!(&res, expect, "parallel optimum diverged at 8 workers");
+        }
+    });
+    suite.results.push(PerfResult {
+        name: "multi_parallel/threads=8".to_string(),
+        median_ns: parallel.as_nanos(),
+        samples,
+    });
 
     let cold1 = cold_medians[0].1.as_secs_f64();
     for &(threads, median) in &cold_medians[1..] {
@@ -322,7 +324,7 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     ));
     suite.derived.push((
         "multi_exact_parallel_speedup".to_string(),
-        parallel_medians[0].as_secs_f64() / parallel_medians[1].as_secs_f64().max(f64::EPSILON),
+        sequential.as_secs_f64() / parallel.as_secs_f64().max(f64::EPSILON),
     ));
     suite
 }
@@ -358,6 +360,28 @@ mod tests {
             .unwrap()
             .1;
         assert!(hit_rate > 0.99, "warm pass should hit: {hit_rate}");
+    }
+
+    #[test]
+    fn coupled_batch_node_count_stays_pinned() {
+        use gaps_core::multi_exact::{self, MultiObjective};
+        // Node counts repeat exactly on the sequential path, so a lost
+        // prune in `multi_exact` fails here instead of only slowing a
+        // benchmark. The budgeted search expands 21,122 nodes on these
+        // eight instances (debug and release alike: the debug memo audit
+        // does not count its work); the unbudgeted search took 446,997.
+        let nodes: u64 = coupled_batch(8)
+            .iter()
+            .map(|inst| {
+                let BatchInstance::Multi(inst) = inst else {
+                    unreachable!("coupled_batch is multi-interval only")
+                };
+                let (res, stats) = multi_exact::solve_multi_stats(inst, MultiObjective::Gaps);
+                assert!(res.is_some());
+                stats.nodes_expanded
+            })
+            .sum();
+        assert!(nodes <= 25_000, "coupled_batch(8) expanded {nodes} nodes");
     }
 
     #[test]

@@ -47,11 +47,27 @@
 //!   [`crate::lower_bounds::skeleton_spans_lower_bound`]) and the
 //!   set-cover greedy relaxation
 //!   ([`crate::lower_bounds::setcover_spans_relaxation`]) meets it, the
-//!   search is skipped entirely. Inside the search, branches iterate in
-//!   non-decreasing pair-cost order and cut off against the incumbent of
-//!   their own state plus an admissible suffix bound (remaining busy
-//!   cost) — exact, because a skipped branch provably cannot improve the
-//!   state's minimum.
+//!   search is skipped entirely.
+//! * **Budgeted branch and bound.** Every state is searched against a
+//!   *budget*: it returns its exact optimum when that is `< budget`, and
+//!   otherwise only a lower bound `≥ budget`. The root's budget is the
+//!   Lemma 3 upper bound `+ 1`, so the root answer is always exact; each
+//!   child gets `min(best so far, budget) − pair cost`, so the incumbent
+//!   flows down the tree instead of each state being solved exactly.
+//!   Branches iterate in non-decreasing pair-cost order and a branch is
+//!   skipped once `pair + floor` reaches its bound, where the admissible
+//!   floor counts the remaining busy slots under power plus the
+//!   **run-capacity** term: when more jobs remain than union slots
+//!   continue the current run at consecutive times, another hole must
+//!   open (`+1` span; `+min(1, α)` under power).
+//! * **Exact-or-bound memo facts.** Each memo entry packs its value with
+//!   a flag saying whether it is the state's exact optimum or only a
+//!   lower bound. A hit is used when it is exact or its bound reaches the
+//!   query's budget; a weaker bound is re-searched and overwritten, so
+//!   the memo only ever gains information. Reconstruction queries each
+//!   child with budget `target − pair + 1` and takes the first `(slot,
+//!   job)` branch attaining the target, so values and witnesses are
+//!   exactly those of an unbudgeted search.
 //!
 //! # Parallelism
 //!
@@ -62,13 +78,19 @@
 //! incumbent per component. An external driver — `gaps_engine`'s
 //! work-stealing pool — runs [`ParallelPlan::run_task`] on each
 //! [`SubtreeTask`] in any order on any thread and folds the outcomes
-//! with [`ParallelPlan::finish`]. The result is bit-identical to the
-//! sequential solver for every thread count: each non-skipped subtree
-//! reports its *exact* optimum, root-level skipping is strict
-//! (`bound > incumbent`), so every subtree attaining the component
-//! optimum always reports it, and the winner is the first such root in
-//! canonical order — precisely the branch sequential reconstruction
-//! takes.
+//! with [`ParallelPlan::finish`]. Each subtree is searched with budget
+//! `incumbent + 1`: one whose optimum ties the incumbent is still solved
+//! exactly, and one whose optimum is above it reports
+//! [`SubtreeOutcome::Bounded`], which never wins. The result is
+//! bit-identical to the sequential solver for every thread count:
+//! root-level skipping is strict (`bound > incumbent`) and the budget
+//! never drops below the optimum `+ 1`, so every subtree attaining the
+//! component optimum reports it exactly, and the winner is the first
+//! such root in canonical order — precisely the branch sequential
+//! reconstruction takes. The same plan also solves sequentially
+//! ([`ParallelPlan::solve_sequential`], which is [`solve_multi_stats`]),
+//! so a driver can build it once and pick either path from
+//! [`ParallelPlan::search_jobs`].
 
 use crate::fasthash::FastMap;
 use crate::instance::MultiInstance;
@@ -78,8 +100,14 @@ use crate::power::power_cost_single;
 use crate::schedule::MultiSchedule;
 use crate::time::Time;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
-const INF: u64 = u64::MAX;
+/// "No completion". Also the largest representable cost, which leaves
+/// the top bit of a memo entry free for [`BOUND`].
+const INF: u64 = u64::MAX >> 1;
+/// Memo-entry flag: the stored value is a lower bound `≥` the budget it
+/// was searched with, not the state's exact optimum.
+const BOUND: u64 = 1 << 63;
 
 /// Hard cap on jobs: placed-job sets are packed into a `u64` mask, and
 /// the router caps multi-exact routing at exactly this job count.
@@ -173,46 +201,16 @@ pub fn min_power_multi(inst: &MultiInstance, alpha: u64) -> Option<(u64, MultiSc
 /// Decomposed sequential solve with search statistics: cut the timeline
 /// into independent components, solve each with the branch-and-bound,
 /// and add the optima (spans and power both add across qualifying dead
-/// zones; gaps are finalized as spans − 1).
+/// zones; gaps are finalized as spans − 1). On an infeasible instance
+/// the statistics carry the component sizes and no search effort.
 pub fn solve_multi_stats(
     inst: &MultiInstance,
     objective: MultiObjective,
 ) -> (Option<(u64, MultiSchedule)>, SearchStats) {
-    let mut stats = SearchStats::default();
-    let cost = objective.cost();
-    let n = inst.job_count();
-    if n == 0 {
-        return (
-            Some((objective.finalize(0), MultiSchedule::new(vec![]))),
-            stats,
-        );
+    match ParallelPlan::new(inst, objective) {
+        Ok(plan) => plan.solve_sequential(),
+        Err(stats) => (None, stats),
     }
-    check_caps(inst);
-    let comps = decompose_jobs(inst, cost.min_zone());
-    stats.note_components(&comps);
-    if comps.len() == 1 {
-        let solved = solve_component(inst, cost, &mut stats)
-            .map(|(v, sched)| (objective.finalize(v), sched));
-        return (solved, stats);
-    }
-    let mut times = vec![0; n];
-    let mut total = 0u64;
-    for jobs in &comps {
-        let sub = sub_instance(inst, jobs);
-        let Some((value, sched)) = solve_component(&sub, cost, &mut stats) else {
-            // One infeasible component makes the whole instance
-            // infeasible (the matching decomposes along the same cuts).
-            return (None, stats);
-        };
-        total += value;
-        for (local, &j) in jobs.iter().enumerate() {
-            times[j] = sched.times()[local];
-        }
-    }
-    (
-        Some((objective.finalize(total), MultiSchedule::new(times))),
-        stats,
-    )
 }
 
 /// The pre-decomposition solver: one branch-and-bound over the whole
@@ -277,6 +275,16 @@ impl Cost {
         match self {
             Cost::Spans => 0,
             Cost::Power { .. } => r as u64,
+        }
+    }
+
+    /// Least extra cost of one more hole: a new span, or under power the
+    /// hole's capped cost `min(width, α)` with width ≥ 1.
+    #[inline]
+    fn hole_floor(self) -> u64 {
+        match self {
+            Cost::Spans => 1,
+            Cost::Power { alpha } => alpha.min(1),
         }
     }
 
@@ -380,17 +388,36 @@ fn solve_component(
         // optimal without opening the search at all.
         return Some((upper, greedy));
     }
+    Some(search_component(
+        inst,
+        &inst.slot_union(),
+        cost,
+        upper,
+        stats,
+    ))
+}
 
-    let slots = inst.slot_union();
-    let mut solver = Solver::new(inst, &slots, cost);
-    let best = solver.suffix(None, 0);
-    assert_ne!(best, INF, "matching said feasible, search must agree");
+/// The memoized branch-and-bound over one component whose lower bound
+/// stayed below `upper`, the cost of its Lemma 3 witness: the exact
+/// optimum and its canonical witness.
+fn search_component(
+    inst: &MultiInstance,
+    slots: &[Time],
+    cost: Cost,
+    upper: u64,
+    stats: &mut SearchStats,
+) -> (u64, MultiSchedule) {
+    let mut solver = Solver::new(inst, slots, cost);
+    // Budget `upper + 1` makes the root answer exact: the optimum is at
+    // most the greedy witness's cost.
+    let best = solver.suffix(None, 0, upper + 1);
+    assert!(best <= upper, "matching said feasible, search must agree");
     let times = solver.reconstruct(best);
     stats.nodes_expanded += solver.nodes;
     let sched = MultiSchedule::new(times);
     debug_assert_eq!(sched.verify(inst), Ok(()));
     debug_assert_eq!(cost.of_schedule(&sched), best);
-    Some((best, sched))
+    (best, sched)
 }
 
 struct Solver {
@@ -402,10 +429,14 @@ struct Solver {
     jobs_at: Vec<Vec<u8>>,
     /// Last allowed slot index of each job.
     max_slot: Vec<u16>,
+    /// Union slots following each slot at consecutive times: how many
+    /// more jobs the run through that slot can absorb without a hole.
+    run_left: Vec<u16>,
     /// For each job, the previous job with the identical allowed set
     /// (duplicate-class chain used by the dominance pruning).
     twin_before: Vec<Option<u8>>,
-    /// Suffix-value memo: `(last slot + 1) << 64 | placed mask` → value.
+    /// Suffix memo: `(last slot + 1) << 64 | placed mask` → value, with
+    /// [`BOUND`] set when the value is only a lower bound.
     memo: FastMap<u128, u64>,
     /// Branch-and-bound states expanded (memo misses).
     nodes: u64,
@@ -438,12 +469,19 @@ impl Solver {
                 .find(|&i| inst.jobs()[i].times() == inst.jobs()[j].times())
                 .map(|i| i as u8);
         }
+        let mut run_left = vec![0u16; slots.len()];
+        for s in (0..slots.len().saturating_sub(1)).rev() {
+            if slots[s + 1] == slots[s] + 1 {
+                run_left[s] = run_left[s + 1] + 1;
+            }
+        }
         Solver {
             n,
             cost,
             times: slots.to_vec(),
             jobs_at,
             max_slot,
+            run_left,
             twin_before,
             memo: FastMap::with_capacity_and_hasher(1 << 10, Default::default()),
             nodes: 0,
@@ -453,20 +491,34 @@ impl Solver {
     }
 
     /// Debug-build memo audit: re-derive a hit state once (children are
-    /// served from the memo) and check the cached value is still the
-    /// exact recomputed one — a stale or clobbered entry would silently
-    /// corrupt the optimum and every reconstruction step that follows it.
+    /// served from the memo) and check the fact the entry records — an
+    /// exact entry must equal the recomputed optimum (re-derived under
+    /// budget `value + 1`, the least budget that pins it), a bound must
+    /// still reach the `budget` it is used with. A stale or clobbered
+    /// entry would silently corrupt the optimum and every reconstruction
+    /// step that follows it. Audit work is not counted in `nodes`.
     #[cfg(debug_assertions)]
-    fn audit_memo_hit(&mut self, last: Option<u16>, mask: u64, cached: u64) {
+    fn audit_memo_hit(&mut self, last: Option<u16>, mask: u64, entry: u64, budget: u64) {
         if self.verifying {
             return;
         }
         self.verifying = true;
-        let fresh = self.suffix_compute(last, mask);
-        debug_assert_eq!(
-            cached, fresh,
-            "multi_exact memo entry diverged from recomputation"
-        );
+        let nodes = self.nodes;
+        let value = entry & !BOUND;
+        if entry & BOUND == 0 {
+            let fresh = self.suffix_compute(last, mask, value + 1);
+            debug_assert_eq!(
+                value, fresh,
+                "multi_exact exact memo entry diverged from recomputation"
+            );
+        } else {
+            let fresh = self.suffix_compute(last, mask, budget);
+            debug_assert!(
+                fresh >= budget,
+                "multi_exact memo bound {value} ≥ {budget} contradicted by optimum {fresh}"
+            );
+        }
+        self.nodes = nodes;
         self.verifying = false;
     }
 
@@ -489,27 +541,48 @@ impl Solver {
         }
     }
 
-    /// Exact minimum cost of placing every job not in `mask` at slots
-    /// strictly after `last`, including the pair cost back to `last`.
-    /// `INF` iff no completion exists.
-    fn suffix(&mut self, last: Option<u16>, mask: u64) -> u64 {
+    /// Admissible floor on the cost of the `r` jobs still unplaced after
+    /// a placement at slot `s`: their busy slots under power, plus one
+    /// more hole when they cannot all continue the run through `s`.
+    #[inline]
+    fn floor_after(&self, s: u16, r: usize) -> u64 {
+        let floor = self.cost.suffix_floor(r);
+        if r > self.run_left[s as usize] as usize {
+            floor + self.cost.hole_floor()
+        } else {
+            floor
+        }
+    }
+
+    /// Budgeted suffix search: the minimum cost of placing every job not
+    /// in `mask` at slots strictly after `last`, including the pair cost
+    /// back to `last`, when that minimum is `< budget`; otherwise some
+    /// lower bound `≥ budget` on it. `INF` iff no completion exists.
+    fn suffix(&mut self, last: Option<u16>, mask: u64, budget: u64) -> u64 {
         if mask == self.full() {
             return 0;
         }
         let key = (last.map_or(0, |i| i as u128 + 1)) << 64 | mask as u128;
-        if let Some(&v) = self.memo.get(&key) {
-            #[cfg(debug_assertions)]
-            self.audit_memo_hit(last, mask, v);
-            return v;
+        if let Some(&entry) = self.memo.get(&key) {
+            let value = entry & !BOUND;
+            if entry & BOUND == 0 || value >= budget {
+                #[cfg(debug_assertions)]
+                self.audit_memo_hit(last, mask, entry, budget);
+                return value;
+            }
         }
-        let best = self.suffix_compute(last, mask);
-        self.memo.insert(key, best);
-        best
+        // A miss, or a bound too weak for this budget: search and
+        // (over)write. The new fact is exact or a bound ≥ this budget,
+        // so it is never weaker than the entry it replaces.
+        let value = self.suffix_compute(last, mask, budget);
+        let entry = if value < budget { value } else { value | BOUND };
+        self.memo.insert(key, entry);
+        value
     }
 
     /// The uncached body of [`Solver::suffix`]: branch over the next
     /// occupied slot and the canonical job placed there.
-    fn suffix_compute(&mut self, last: Option<u16>, mask: u64) -> u64 {
+    fn suffix_compute(&mut self, last: Option<u16>, mask: u64, budget: u64) -> u64 {
         self.nodes += 1;
         let r = self.n - mask.count_ones() as usize;
         // Every unplaced job lands at or after the *next* occupied slot,
@@ -523,28 +596,40 @@ impl Solver {
         }
         let lo = last.map_or(0, |i| i + 1);
         let prev_time = last.map(|i| self.times[i as usize]);
-        let floor = self.cost.suffix_floor(r - 1);
+        let base = self.cost.suffix_floor(r - 1);
+        // `best`: least cost over searched branches (exact below the
+        // budget). `lower`: least floor over branches cut unsearched.
         let mut best = INF;
+        let mut lower = INF;
         for s in lo..=hi {
             let pair = self.cost.pair(prev_time, self.times[s as usize]);
             // Pair costs are non-decreasing in the slot (holes only grow),
-            // so once even the admissible floor cannot beat the incumbent
-            // the remaining branches are dominated — cut the whole loop.
-            if best != INF && pair.saturating_add(floor) >= best {
+            // so once the slot-independent floor reaches the bound every
+            // remaining branch is dominated — cut the whole loop.
+            let cut = pair.saturating_add(base);
+            if cut >= best.min(budget) {
+                lower = lower.min(cut);
                 break;
             }
+            let floor = pair.saturating_add(self.floor_after(s, r - 1));
             for k in 0..self.jobs_at[s as usize].len() {
                 let job = self.jobs_at[s as usize][k];
                 if mask & (1u64 << job) != 0 || !self.canonical(job, mask) {
                     continue;
                 }
-                let v = self.suffix(Some(s), mask | 1u64 << job);
-                if v != INF {
-                    best = best.min(pair + v);
+                let bound = best.min(budget);
+                if floor >= bound {
+                    lower = lower.min(floor);
+                    break;
                 }
+                let v = self.suffix(Some(s), mask | 1u64 << job, bound - pair);
+                best = best.min(pair.saturating_add(v));
             }
         }
-        best
+        // Below the budget `best` is the exact optimum (every cut branch
+        // costs at least the bound it was cut against); otherwise both
+        // terms are lower bounds ≥ the budget.
+        best.min(lower)
     }
 
     /// Re-walk the memoized search along an optimal branch, returning the
@@ -580,8 +665,11 @@ impl Solver {
                     if mask & (1u64 << job) != 0 || !self.canonical(job, mask) {
                         continue;
                     }
-                    let v = self.suffix(Some(s), mask | 1u64 << job);
-                    if v != INF && pair + v == target {
+                    // Budget `target − pair + 1`: exact whenever the
+                    // child can attain the target, a bound above it
+                    // otherwise.
+                    let v = self.suffix(Some(s), mask | 1u64 << job, target - pair + 1);
+                    if pair.saturating_add(v) == target {
                         times[job as usize] = self.times[s as usize];
                         mask |= 1u64 << job;
                         last = Some(s);
@@ -616,6 +704,13 @@ pub enum SubtreeOutcome {
     /// Pruned at the root against the shared incumbent (strict
     /// comparison, so a subtree attaining the optimum is never skipped).
     Skipped,
+    /// Searched with budget `incumbent + 1` and proved to cost more than
+    /// that incumbent: never a winner. Distinct from `Solved { value:
+    /// None }`, which means the subtree has no completion at all.
+    Bounded {
+        /// Branch-and-bound states expanded by this task.
+        nodes: u64,
+    },
     /// Explored to its exact subtree optimum. `value` is `None` when
     /// the subtree admits no completion; `times` is the canonical
     /// witness (component-local job order), `nodes` the states expanded.
@@ -639,14 +734,34 @@ struct PlanComponent {
     upper: u64,
     /// Lower bound met the greedy witness: certified optimal, no tasks.
     closed: bool,
-    /// Root frontier `(slot index, job)` in canonical scan order.
-    roots: Vec<(u16, u8)>,
+    /// Root frontier `(slot index, job)` in canonical scan order, built
+    /// on first use: a sequential solve never needs it.
+    roots: OnceLock<Vec<(u16, u8)>>,
     /// Shared best-so-far (monotone non-increasing). Relaxed ordering is
     /// sound: the bound is the only datum transferred, staleness only
     /// weakens pruning, and exactness never depends on reading the
     /// latest value — see DESIGN.md §13.
     incumbent: AtomicU64,
     updates: AtomicU64,
+}
+
+impl PlanComponent {
+    fn roots(&self, cost: Cost) -> &[(u16, u8)] {
+        self.roots.get_or_init(|| {
+            if self.closed {
+                Vec::new()
+            } else {
+                root_frontier(&self.inst, &self.slots, cost)
+            }
+        })
+    }
+
+    /// Copy a component-local witness into the whole instance's times.
+    fn place(&self, local: &[Time], times: &mut [Time]) {
+        for (l, &j) in self.jobs.iter().enumerate() {
+            times[j] = local[l];
+        }
+    }
 }
 
 /// The decomposed search, exposed as data for an external parallel
@@ -662,46 +777,90 @@ pub struct ParallelPlan {
 }
 
 impl ParallelPlan {
-    /// Decompose and prepare the instance; `None` iff infeasible (some
-    /// component has no complete matching).
-    pub fn new(inst: &MultiInstance, objective: MultiObjective) -> Option<ParallelPlan> {
+    /// Decompose and prepare the instance: per component the Lemma 3
+    /// matching, its witness's cost and the lower bound. `Err` iff
+    /// infeasible (some component has no complete matching), carrying
+    /// the statistics of that verdict: the component sizes, no search.
+    pub fn new(
+        inst: &MultiInstance,
+        objective: MultiObjective,
+    ) -> Result<ParallelPlan, SearchStats> {
         let cost = objective.cost();
         let n = inst.job_count();
-        if n > 0 {
-            check_caps(inst);
-        }
+        let mut stats = SearchStats::default();
         let mut components = Vec::new();
         if n > 0 {
-            for jobs in decompose_jobs(inst, cost.min_zone()) {
+            check_caps(inst);
+            let comps = decompose_jobs(inst, cost.min_zone());
+            stats.note_components(&comps);
+            for jobs in comps {
                 let sub = sub_instance(inst, &jobs);
-                let greedy = complete_schedule(&sub, &vec![None; jobs.len()])?;
+                let Some(greedy) = complete_schedule(&sub, &vec![None; jobs.len()]) else {
+                    // One infeasible component makes the whole instance
+                    // infeasible (the matching decomposes along the
+                    // same cuts).
+                    return Err(stats);
+                };
                 let upper = cost.of_schedule(&greedy);
                 let closed = cost.instance_bound(&sub) >= upper;
-                let slots = sub.slot_union();
-                let roots = if closed {
-                    Vec::new()
-                } else {
-                    root_frontier(&sub, &slots, cost)
-                };
                 components.push(PlanComponent {
                     jobs,
+                    slots: sub.slot_union(),
                     inst: sub,
-                    slots,
                     greedy,
                     upper,
                     closed,
-                    roots,
+                    roots: OnceLock::new(),
                     incumbent: AtomicU64::new(upper),
                     updates: AtomicU64::new(0),
                 });
             }
         }
-        Some(ParallelPlan {
+        Ok(ParallelPlan {
             objective,
             cost,
             n,
             components,
         })
+    }
+
+    /// Solve every component on the calling thread: one budgeted search
+    /// per component its lower bound did not close, reusing the plan's
+    /// matchings and bounds. This is [`solve_multi_stats`]; its result
+    /// is always `Some` and equals [`ParallelPlan::finish`]'s for any
+    /// task order.
+    pub fn solve_sequential(&self) -> (Option<(u64, MultiSchedule)>, SearchStats) {
+        let mut stats = SearchStats {
+            component_jobs: self.components.iter().map(|c| c.jobs.len()).collect(),
+            ..SearchStats::default()
+        };
+        let mut times = vec![0; self.n];
+        let mut total = 0u64;
+        for comp in &self.components {
+            if comp.closed {
+                total += comp.upper;
+                comp.place(comp.greedy.times(), &mut times);
+            } else {
+                let (value, sched) =
+                    search_component(&comp.inst, &comp.slots, self.cost, comp.upper, &mut stats);
+                total += value;
+                comp.place(sched.times(), &mut times);
+            }
+        }
+        let sched = MultiSchedule::new(times);
+        (Some((self.objective.finalize(total), sched)), stats)
+    }
+
+    /// Job count of the largest component that still needs search (0
+    /// when every component closed at its lower bound): the size the
+    /// subtree fan-out would actually split.
+    pub fn search_jobs(&self) -> usize {
+        self.components
+            .iter()
+            .filter(|c| !c.closed)
+            .map(|c| c.jobs.len())
+            .max()
+            .unwrap_or(0)
     }
 
     /// Every subtree task, component by component, roots in canonical
@@ -710,35 +869,44 @@ impl ParallelPlan {
     pub fn tasks(&self) -> Vec<SubtreeTask> {
         let mut out = Vec::new();
         for (component, comp) in self.components.iter().enumerate() {
-            for root in 0..comp.roots.len() {
+            for root in 0..comp.roots(self.cost).len() {
                 out.push(SubtreeTask { component, root });
             }
         }
         out
     }
 
-    /// Explore one subtree to its exact optimum (or skip it when even
-    /// the admissible floor cannot beat the shared incumbent). Safe to
-    /// call concurrently from any thread.
+    /// Explore one subtree with the shared incumbent as its budget: to
+    /// its exact optimum when that is at most the incumbent, to a proof
+    /// that it is above it otherwise, or not at all when even the
+    /// admissible floor is above it. Safe to call concurrently from any
+    /// thread.
     pub fn run_task(&self, task: &SubtreeTask) -> SubtreeOutcome {
         let comp = &self.components[task.component];
-        let (s, job) = comp.roots[task.root];
+        let (s, job) = comp.roots(self.cost)[task.root];
         let nc = comp.inst.job_count();
         let pair = self.cost.pair(None, comp.slots[s as usize]);
         let floor = self.cost.suffix_floor(nc - 1);
-        // Strict `>`: a subtree whose exact optimum equals the incumbent
-        // still runs, so every optimum-attaining root reports its value
-        // — that is what keeps the winner choice timing-independent.
-        if pair.saturating_add(floor) > comp.incumbent.load(Ordering::Relaxed) {
+        // `+ 1` keeps the test strict: a subtree whose exact optimum
+        // equals the incumbent is neither skipped nor bounded, so every
+        // optimum-attaining root reports its value — that is what keeps
+        // the winner choice timing-independent.
+        let budget = comp.incumbent.load(Ordering::Relaxed) + 1;
+        if pair.saturating_add(floor) >= budget {
             return SubtreeOutcome::Skipped;
         }
         let mut solver = Solver::new(&comp.inst, &comp.slots, self.cost);
         let mask = 1u64 << job;
-        let suffix = solver.suffix(Some(s), mask);
+        let suffix = solver.suffix(Some(s), mask, budget - pair);
         if suffix == INF {
             return SubtreeOutcome::Solved {
                 value: None,
                 times: Vec::new(),
+                nodes: solver.nodes,
+            };
+        }
+        if pair + suffix >= budget {
+            return SubtreeOutcome::Bounded {
                 nodes: solver.nodes,
             };
         }
@@ -773,46 +941,47 @@ impl ParallelPlan {
         let mut total = 0u64;
         let mut offset = 0usize;
         for comp in &self.components {
-            let slice = &outcomes[offset..offset + comp.roots.len()];
-            offset += comp.roots.len();
+            let roots = comp.roots(self.cost).len();
+            let slice = &outcomes[offset..offset + roots];
+            offset += roots;
             stats.incumbent_updates += comp.updates.load(Ordering::Relaxed);
             if comp.closed {
                 total += comp.upper;
-                for (local, &j) in comp.jobs.iter().enumerate() {
-                    times[j] = comp.greedy.times()[local];
-                }
+                comp.place(comp.greedy.times(), &mut times);
                 continue;
             }
             let mut best = INF;
             let mut winner: Option<&[Time]> = None;
             for outcome in slice {
-                if let SubtreeOutcome::Solved {
-                    value,
-                    times: sub_times,
-                    nodes,
-                } = outcome
-                {
-                    stats.nodes_expanded += nodes;
-                    // Strictly `<`, so the first root keeps ties — the
-                    // canonical winner.
-                    if let Some(v) = value {
-                        if *v < best {
-                            best = *v;
-                            winner = Some(sub_times);
+                match outcome {
+                    SubtreeOutcome::Skipped => {}
+                    SubtreeOutcome::Bounded { nodes } => stats.nodes_expanded += nodes,
+                    SubtreeOutcome::Solved {
+                        value,
+                        times: sub_times,
+                        nodes,
+                    } => {
+                        stats.nodes_expanded += nodes;
+                        // Strictly `<`, so the first root keeps ties — the
+                        // canonical winner.
+                        if let Some(v) = value {
+                            if *v < best {
+                                best = *v;
+                                winner = Some(sub_times);
+                            }
                         }
                     }
                 }
             }
             // A feasible, non-closed component always yields a finite
             // winner: a subtree attaining the optimum is never skipped
-            // (strict root pruning) and never returns `None`.
+            // or bounded (its budget is at least the optimum + 1) and
+            // never returns `None`.
             // analyzer: allow(panic-free): see the invariant above
             let winner = winner.expect("some subtree attains the component optimum");
             assert!(best <= comp.upper, "subtree optimum beat by greedy?");
             total += best;
-            for (local, &j) in comp.jobs.iter().enumerate() {
-                times[j] = winner[local];
-            }
+            comp.place(winner, &mut times);
         }
         assert_eq!(offset, outcomes.len(), "outcomes misaligned with tasks");
         (
@@ -856,7 +1025,7 @@ mod tests {
     /// Sequential reference driver for [`ParallelPlan`]: run every task
     /// inline, in order.
     fn run_plan(i: &MultiInstance, obj: MultiObjective) -> Option<(u64, MultiSchedule)> {
-        let plan = ParallelPlan::new(i, obj)?;
+        let plan = ParallelPlan::new(i, obj).ok()?;
         let outcomes: Vec<_> = plan.tasks().iter().map(|t| plan.run_task(t)).collect();
         let (value, sched, _) = plan.finish(&outcomes);
         Some((value, sched))
@@ -1062,6 +1231,80 @@ mod tests {
         assert_eq!(value, seq_value);
         assert_eq!(sched.times(), seq_sched.times());
         assert_eq!(stats.subtree_tasks, tasks.len() as u64);
+    }
+
+    #[test]
+    fn budgeted_search_keeps_its_contract() {
+        use rand::rngs::StdRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..40u64 {
+            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xB0D6));
+            let jobs: Vec<Vec<i64>> = (0..rng.gen_range(1..=6))
+                .map(|_| {
+                    (0..rng.gen_range(1..=3))
+                        .map(|_| rng.gen_range(0..14))
+                        .collect()
+                })
+                .collect();
+            let i = inst(&jobs);
+            let slots = i.slot_union();
+            for cost in [Cost::Spans, Cost::Power { alpha: 2 }] {
+                let opt = match cost {
+                    Cost::Spans => brute_force::min_spans_multi(&i),
+                    Cost::Power { alpha } => brute_force::min_power_multi(&i, alpha),
+                };
+                let Some((opt, _)) = opt else { continue };
+                let check = |b: u64, v: u64| {
+                    if opt < b {
+                        assert_eq!(v, opt, "seed {seed}: budget {b} on {jobs:?}");
+                    } else {
+                        assert!(
+                            (b..=opt).contains(&v),
+                            "seed {seed}: budget {b} gave {v}, optimum {opt}, on {jobs:?}"
+                        );
+                    }
+                };
+                // Fresh memo per budget, then one memo across budgets in
+                // shuffled order (bound entries met by larger budgets).
+                let mut budgets: Vec<u64> = (0..=opt + 1).collect();
+                for &b in &budgets {
+                    check(b, Solver::new(&i, &slots, cost).suffix(None, 0, b));
+                }
+                budgets.shuffle(&mut rng);
+                let mut shared = Solver::new(&i, &slots, cost);
+                for &b in &budgets {
+                    check(b, shared.suffix(None, 0, b));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn later_root_above_the_incumbent_folds_as_bounded() {
+        // Roots in canonical order: (3, job 1) → {3,4},{6} = 2 spans,
+        // the optimum; (3, job 2) and (4, job 2) both force job 1 to 8,
+        // three spans. Run in order, the first root sets the incumbent
+        // to 2 and the later ones prove they cannot reach it.
+        let i = inst(&[vec![6], vec![3, 8], vec![3, 4]]);
+        let plan = ParallelPlan::new(&i, MultiObjective::Spans).unwrap();
+        let outcomes: Vec<_> = plan.tasks().iter().map(|t| plan.run_task(t)).collect();
+        assert_eq!(outcomes.len(), 3);
+        assert!(
+            matches!(outcomes[0], SubtreeOutcome::Solved { value: Some(2), .. }),
+            "{outcomes:?}"
+        );
+        for later in &outcomes[1..] {
+            assert!(
+                matches!(later, SubtreeOutcome::Bounded { nodes } if *nodes > 0),
+                "a feasible subtree above the incumbent must not read as infeasible: {later:?}"
+            );
+        }
+        let (value, sched, stats) = plan.finish(&outcomes);
+        assert_eq!(value, 2);
+        assert_eq!(sched.times(), &[6, 3, 4]);
+        assert_eq!(sched.times(), min_spans_multi(&i).unwrap().1.times());
+        assert!(stats.nodes_expanded > 0);
     }
 
     #[test]

@@ -685,23 +685,15 @@ mod tests {
 
     #[test]
     fn batch_report_scopes_search_effort_to_the_batch() {
-        use gaps_core::instance::MultiInstance;
-        // A coupled core whose span optimum (2) strictly beats every
-        // lower bound (the union is one run, so hosting/skeleton say 1):
-        // the early-closed shortcut cannot fire and the search must open.
-        // Satellites push the job count past the parallel threshold (17)
-        // while staying inside the raised 64-job multi-exact cap.
-        let mut jobs: Vec<Vec<i64>> = vec![
-            vec![0, 1],
-            vec![0, 1],
-            vec![8, 9],
-            vec![8, 9],
-            vec![2, 3, 4, 5, 6, 7],
-        ];
-        for k in 0..12 {
-            jobs.push(vec![100 + 3 * k, 101 + 3 * k]);
-        }
-        let inst = BatchInstance::Multi(MultiInstance::from_times(jobs).unwrap());
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // An 18-job coupled banded core (the second `perf::coupled_batch`
+        // instance): no dead zone splits it and its lower bounds sit
+        // below the optimum, so the search must open, and the component
+        // still searched clears the parallel threshold (17).
+        let mut rng = StdRng::seed_from_u64(0xC09E);
+        let _first = multi_interval::banded(&mut rng, 18, 3, 8, 2);
+        let inst = BatchInstance::Multi(multi_interval::banded(&mut rng, 18, 3, 8, 2));
         let engine = Engine::new(EngineConfig {
             threads: 2,
             ..EngineConfig::default()

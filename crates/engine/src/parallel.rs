@@ -32,9 +32,22 @@ pub fn solve_multi_parallel(
     objective: MultiObjective,
     threads: usize,
 ) -> (Option<(u64, MultiSchedule)>, SearchStats) {
-    let Some(plan) = ParallelPlan::new(inst, objective) else {
-        return (None, SearchStats::default());
-    };
+    match ParallelPlan::new(inst, objective) {
+        Ok(plan) => run_plan(&plan, threads),
+        Err(stats) => (None, stats),
+    }
+}
+
+/// Run every subtree task of a prepared plan over `threads` workers and
+/// fold the outcomes. `Skipped` and `Bounded` subtrees never win;
+/// `ParallelPlan::finish` folds both without a candidate. A plan exists
+/// only for a feasible instance, so the result is always `Some`; it is
+/// shaped like `ParallelPlan::solve_sequential`'s so a caller can take
+/// either path.
+pub fn run_plan(
+    plan: &ParallelPlan,
+    threads: usize,
+) -> (Option<(u64, MultiSchedule)>, SearchStats) {
     let tasks = plan.tasks();
     let (outcomes, steals) = if threads <= 1 || tasks.len() <= 1 {
         // Nothing to fan out: run inline and spare the scope setup.

@@ -107,8 +107,9 @@ impl FallbackSolver {
     }
 }
 
-/// Smallest job count worth fanning a single instance's subtrees out
-/// over the pool; below it the sequential solve wins on overhead.
+/// Smallest component job count worth fanning a single instance's
+/// subtrees out over the pool; below it the sequential solve wins on
+/// overhead.
 const PARALLEL_MIN_JOBS: usize = 17;
 
 /// Local-search rounds for the Theorem 3 set packing (the paper's ε).
@@ -291,17 +292,18 @@ pub fn solve_observed(
             };
             // Fan the branch-and-bound out across intra-instance workers
             // only where the subtree overhead pays for itself: several
-            // configured threads *and* a job count above the sequential
-            // sweet spot. Both paths are bit-identical.
-            let parallel = cfg.multi_exact_threads > 1 && multi.job_count() >= PARALLEL_MIN_JOBS;
-            let (result, stats) = if parallel {
-                crate::parallel::solve_multi_parallel(
-                    multi,
-                    multi_objective,
-                    cfg.multi_exact_threads,
-                )
-            } else {
-                multi_exact::solve_multi_stats(multi, multi_objective)
+            // configured threads *and* a component still to search above
+            // the sequential sweet spot. A large instance that decomposes
+            // into small pieces is solved on this thread from the same
+            // plan. Both paths are bit-identical.
+            let (result, stats) = match multi_exact::ParallelPlan::new(multi, multi_objective) {
+                Err(stats) => (None, stats),
+                Ok(plan)
+                    if cfg.multi_exact_threads > 1 && plan.search_jobs() >= PARALLEL_MIN_JOBS =>
+                {
+                    crate::parallel::run_plan(&plan, cfg.multi_exact_threads)
+                }
+                Ok(plan) => plan.solve_sequential(),
             };
             if let Some(metrics) = observer {
                 metrics.record_search(&stats);
@@ -532,6 +534,44 @@ mod tests {
         let (kind, payload) = solve(&big, Objective::Gaps, &cfg);
         assert_eq!(kind, SolverKind::Lemma3Greedy);
         assert!(payload.starts_with("gaps<="), "payload = {payload}");
+    }
+
+    #[test]
+    fn fan_out_gates_on_the_largest_component_still_searched() {
+        use crate::metrics::MetricsRegistry;
+        use gaps_workloads::multi_interval;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let cfg = RouterConfig {
+            multi_exact_threads: 2,
+            ..RouterConfig::default()
+        };
+        let tasks_for = |inst: &BatchInstance| {
+            let metrics = MetricsRegistry::new();
+            let (kind, payload) = solve_observed(inst, Objective::Gaps, &cfg, Some(&metrics));
+            assert_eq!(kind, SolverKind::MultiExact);
+            let (seq, _) = match inst {
+                BatchInstance::Multi(m) => {
+                    multi_exact::solve_multi_stats(m, multi_exact::MultiObjective::Gaps)
+                }
+                BatchInstance::One(_) => unreachable!(),
+            };
+            assert_eq!(payload, exact("gaps", seq.map(|(v, _)| v)));
+            metrics.search_totals().subtree_tasks
+        };
+        // 24 jobs, past the whole-instance threshold, but four 6-job
+        // clusters behind uncrossed dead zones: sequential solve.
+        let mut rng = StdRng::seed_from_u64(0xDEC0);
+        let clustered = multi_interval::clustered(&mut rng, 4, 6, 8, 2, 5);
+        assert_eq!(clustered.job_count(), 24);
+        assert_eq!(tasks_for(&BatchInstance::Multi(clustered)), 0);
+        // An 18-job coupled core the decomposition cannot split (the
+        // second `perf::coupled_batch` instance) fans out.
+        let mut rng = StdRng::seed_from_u64(0xC09E);
+        let _first = multi_interval::banded(&mut rng, 18, 3, 8, 2);
+        let coupled = multi_interval::banded(&mut rng, 18, 3, 8, 2);
+        assert!(tasks_for(&BatchInstance::Multi(coupled)) > 0);
     }
 
     #[test]

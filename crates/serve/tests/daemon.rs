@@ -221,7 +221,7 @@ fn malformed_input_corpus_is_answered_with_err_and_the_daemon_survives() {
     assert_eq!(client.recv(), "ERR - frame is not valid UTF-8");
     // Duplicate in-flight id: stack five slow blockers onto the single
     // worker, then send the same id twice back-to-back. The first copy
-    // is parked in the queue behind ~40ms of blockers when the reader
+    // is parked in the queue behind milliseconds of blockers when the reader
     // (µs later) meets the second — which must be rejected.
     let mut burst = format!("REQ blk-0 {}\n", blocker_payload());
     for i in 1..5 {
@@ -517,10 +517,12 @@ fn requests_after_drain_are_refused() {
     assert_eq!(snapshot.requests, 1);
 }
 
-/// One instance that keeps a worker busy for tens of milliseconds: an
-/// 18-job banded multi-interval instance whose branch-and-bound must
-/// open (about 40 ms single-threaded on a 2-CPU x86 box), so requests
-/// sent right behind it reliably find the one-worker pool saturated.
+/// One instance that keeps a worker busy for milliseconds: an 18-job
+/// banded multi-interval instance whose branch-and-bound must open
+/// (about 2.5 ms single-threaded in a release build on a 2-CPU x86 box,
+/// about 16 ms in a debug build) — far longer than the microseconds the
+/// reader needs for the rest of a burst, so requests sent right behind
+/// it reliably find the one-worker pool saturated.
 fn blocker_payload() -> String {
     let mut rng = StdRng::seed_from_u64(2);
     let inst = multi_interval::banded(&mut rng, 18, 3, 8, 2);

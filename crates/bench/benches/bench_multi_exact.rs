@@ -12,7 +12,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gaps_core::instance::MultiInstance;
 use gaps_core::multi_exact::MultiObjective;
 use gaps_core::{brute_force, multi_exact};
-use gaps_engine::parallel::solve_multi_parallel;
 use gaps_workloads::multi_interval;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -80,12 +79,10 @@ fn bench_decomposable(c: &mut Criterion) {
     group.finish();
 }
 
-/// PR-10 lever (b): the shared-incumbent parallel branch-and-bound on
-/// coupled cores decomposition cannot split, against the sequential
-/// solver the router uses below its fan-out gate. `n18` is the shape of
-/// `serve_mixed_open`'s heavy requests. Every iteration asserts the
-/// sequential value *and* schedule, so the CI smoke run re-checks the
-/// parallel/sequential agreement at each worker count.
+/// The branch-and-bound on coupled cores decomposition cannot split.
+/// `n18` is the shape of `serve_mixed_open`'s heavy requests. Every
+/// iteration asserts the first solve's value *and* schedule, so the CI
+/// smoke run re-checks that the solve is deterministic.
 fn bench_coupled_core(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0xC09EB);
     let mut group = c.benchmark_group("multi_exact_coupled");
@@ -101,21 +98,6 @@ fn bench_coupled_core(c: &mut Criterion) {
                 assert_eq!(res, reference, "sequential solve is not deterministic");
             })
         });
-        for threads in [1usize, 2, 8] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("threads{threads}"), label),
-                &inst,
-                |b, inst| {
-                    b.iter(|| {
-                        let (res, _) = solve_multi_parallel(inst, MultiObjective::Gaps, threads);
-                        assert_eq!(
-                            res, reference,
-                            "optimum diverged at {threads} workers on {label}"
-                        );
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }

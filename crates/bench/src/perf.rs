@@ -125,10 +125,8 @@ pub fn multi_batch(count: usize) -> Vec<BatchInstance> {
 
 /// Coupled-core family: banded instances whose `extra` slots are drawn
 /// across bands, so the width-3 inter-band zones are (almost always)
-/// crossed and decomposition cannot split the search. At 18 jobs each
-/// instance clears the router's parallel threshold (17), making this the
-/// workload behind `multi_exact_parallel_speedup`: the whole win must
-/// come from the shared-incumbent subtree fan-out, not from peeling.
+/// crossed and decomposition cannot split the search: every node the
+/// branch-and-bound saves comes from its own pruning, not from peeling.
 pub fn coupled_batch(count: usize) -> Vec<BatchInstance> {
     let mut rng = StdRng::seed_from_u64(0xC09E);
     (0..count)
@@ -264,21 +262,14 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
         samples,
     });
 
-    // (b) Parallel branch-and-bound: the shared-incumbent subtree
-    // fan-out at 8 workers vs the sequential solver the router uses
-    // below the fan-out gate, on coupled cores decomposition cannot
-    // split. Optima and witness schedules must be bit-identical — a
-    // nondeterministic speedup would be worthless.
+    // (b) The branch-and-bound itself, on coupled cores decomposition
+    // cannot split.
     let coupled: Vec<_> = coupled_batch((instances / 10).max(10))
         .into_iter()
         .filter_map(|b| match b {
             BatchInstance::Multi(m) => Some(m),
             BatchInstance::One(_) => None,
         })
-        .collect();
-    let reference: Vec<_> = coupled
-        .iter()
-        .map(|inst| multi_exact::solve_multi_stats(inst, MultiObjective::Gaps).0)
         .collect();
     let sequential = median_wall(samples, || {
         for inst in &coupled {
@@ -289,18 +280,6 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
     suite.results.push(PerfResult {
         name: "multi_sequential/coupled".to_string(),
         median_ns: sequential.as_nanos(),
-        samples,
-    });
-    let parallel = median_wall(samples, || {
-        for (inst, expect) in coupled.iter().zip(&reference) {
-            let (res, _) =
-                gaps_engine::parallel::solve_multi_parallel(inst, MultiObjective::Gaps, 8);
-            assert_eq!(&res, expect, "parallel optimum diverged at 8 workers");
-        }
-    });
-    suite.results.push(PerfResult {
-        name: "multi_parallel/threads=8".to_string(),
-        median_ns: parallel.as_nanos(),
         samples,
     });
 
@@ -322,10 +301,6 @@ pub fn engine_trajectory(instances: usize, samples: usize) -> PerfSuite {
         "decomposition_speedup".to_string(),
         undec.as_secs_f64() / dec.as_secs_f64().max(f64::EPSILON),
     ));
-    suite.derived.push((
-        "multi_exact_parallel_speedup".to_string(),
-        sequential.as_secs_f64() / parallel.as_secs_f64().max(f64::EPSILON),
-    ));
     suite
 }
 
@@ -346,13 +321,12 @@ mod tests {
     fn trajectory_produces_benchmarks_and_derived_metrics() {
         let suite = engine_trajectory(20, 1);
         assert_eq!(suite.suite, "engine");
-        assert_eq!(suite.results.len(), 9);
+        assert_eq!(suite.results.len(), 8);
         assert!(suite.results.iter().all(|r| r.median_ns > 0));
         let names: Vec<&str> = suite.derived.iter().map(|(n, _)| n.as_str()).collect();
         assert!(names.contains(&"warm_hit_rate"));
         assert!(names.contains(&"speedup_threads4_over_threads1"));
         assert!(names.contains(&"decomposition_speedup"));
-        assert!(names.contains(&"multi_exact_parallel_speedup"));
         let hit_rate = suite
             .derived
             .iter()
@@ -382,6 +356,40 @@ mod tests {
             })
             .sum();
         assert!(nodes <= 25_000, "coupled_batch(8) expanded {nodes} nodes");
+    }
+
+    #[test]
+    fn batch_width_never_changes_a_coupled_search() {
+        use gaps_core::multi_exact::{self, MultiObjective};
+        // The second coupled instance opens the search (its lower bounds
+        // sit below the optimum). `--threads` only fans a batch out
+        // across instances, so one instance expands exactly the nodes of
+        // the sequential solver on its canonical form (what the engine
+        // routes) at every batch width.
+        let inst = coupled_batch(2).pop().expect("two instances");
+        let form = gaps_engine::canonical::canonicalize(&inst, Objective::Gaps);
+        let BatchInstance::Multi(multi) = &form.instance else {
+            unreachable!("coupled_batch is multi-interval only")
+        };
+        let (res, stats) = multi_exact::solve_multi_stats(multi, MultiObjective::Gaps);
+        let gaps = res.expect("feasible").0;
+        assert!(stats.nodes_expanded > 0, "the search must open");
+        for threads in [1usize, 2, 8] {
+            let engine = Engine::new(EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            });
+            let (lines, report) = engine.run_batch(std::slice::from_ref(&inst), Objective::Gaps);
+            assert_eq!(
+                lines,
+                vec![format!("0 multi n=18 gaps={gaps} solver=multi_exact")],
+                "threads {threads}"
+            );
+            assert_eq!(
+                report.search.nodes_expanded, stats.nodes_expanded,
+                "threads {threads}"
+            );
+        }
     }
 
     #[test]

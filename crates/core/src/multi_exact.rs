@@ -69,28 +69,18 @@
 //!   job)` branch attaining the target, so values and witnesses are
 //!   exactly those of an unbudgeted search.
 //!
-//! # Parallelism
+//! # One sequential path
 //!
-//! The module spawns no threads (the analyzer pins thread creation to
-//! the engine's worker pool). Instead [`ParallelPlan`] exposes the
-//! search as data: the decomposition, each component's **root frontier**
-//! (the canonical first-placement branches), and a shared [`AtomicU64`]
-//! incumbent per component. An external driver — `gaps_engine`'s
-//! work-stealing pool — runs [`ParallelPlan::run_task`] on each
-//! [`SubtreeTask`] in any order on any thread and folds the outcomes
-//! with [`ParallelPlan::finish`]. Each subtree is searched with budget
-//! `incumbent + 1`: one whose optimum ties the incumbent is still solved
-//! exactly, and one whose optimum is above it reports
-//! [`SubtreeOutcome::Bounded`], which never wins. The result is
-//! bit-identical to the sequential solver for every thread count:
-//! root-level skipping is strict (`bound > incumbent`) and the budget
-//! never drops below the optimum `+ 1`, so every subtree attaining the
-//! component optimum reports it exactly, and the winner is the first
-//! such root in canonical order — precisely the branch sequential
-//! reconstruction takes. The same plan also solves sequentially
-//! ([`ParallelPlan::solve_sequential`], which is [`solve_multi_stats`]),
-//! so a driver can build it once and pick either path from
-//! [`ParallelPlan::search_jobs`].
+//! Each component is searched on the calling thread with one memo. The
+//! budgeted search gets its speed from facts that memo shares across
+//! branches, and splitting a component's root frontier into parallel
+//! subtrees would give each subtree its own memo to re-derive them in:
+//! measured on 18- and 24-job coupled cores, such a fan-out expanded
+//! 1.8–3× the nodes and was slower than this path on two CPUs.
+//! Parallelism lives one level up, across instances (the engine's batch
+//! fan-out and serve pool), where it shares no state, keeps node counts
+//! independent of the thread count, and never exceeds the daemon's
+//! thread cap.
 
 use crate::fasthash::FastMap;
 use crate::instance::MultiInstance;
@@ -99,8 +89,6 @@ use crate::multi_interval::complete_schedule;
 use crate::power::power_cost_single;
 use crate::schedule::MultiSchedule;
 use crate::time::Time;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// "No completion". Also the largest representable cost, which leaves
 /// the top bit of a memo entry free for [`BOUND`].
@@ -124,8 +112,7 @@ const _: () = assert!(
 );
 
 /// The objective a multi-interval solve minimizes — the public selector
-/// for the decomposed/parallel entry points ([`solve_multi_stats`],
-/// [`ParallelPlan`]).
+/// for [`solve_multi_stats`] and [`solve_multi_undecomposed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MultiObjective {
     /// Idle periods (spans − 1, Theorem 6's convention).
@@ -157,20 +144,13 @@ impl MultiObjective {
 }
 
 /// Counters describing one solve's search effort — the observability
-/// feed for `STATS v3` (`search.*` rows) and `EngineReport`.
+/// feed for `STATS v4` (`search.*` rows) and `EngineReport`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Branch-and-bound states expanded (memo misses).
     pub nodes_expanded: u64,
     /// Job count of each decomposed component, left to right.
     pub component_jobs: Vec<usize>,
-    /// Root-frontier subtree tasks enumerated (0 on the sequential path).
-    pub subtree_tasks: u64,
-    /// Subtree tasks executed by a worker other than the first — filled
-    /// in by the engine driver; always 0 from the core solver.
-    pub subtree_steals: u64,
-    /// Times a shared incumbent bound was tightened (parallel path).
-    pub incumbent_updates: u64,
 }
 
 impl SearchStats {
@@ -207,10 +187,42 @@ pub fn solve_multi_stats(
     inst: &MultiInstance,
     objective: MultiObjective,
 ) -> (Option<(u64, MultiSchedule)>, SearchStats) {
-    match ParallelPlan::new(inst, objective) {
-        Ok(plan) => plan.solve_sequential(),
-        Err(stats) => (None, stats),
+    let cost = objective.cost();
+    let n = inst.job_count();
+    let mut stats = SearchStats::default();
+    if n == 0 {
+        return (
+            Some((objective.finalize(0), MultiSchedule::new(vec![]))),
+            stats,
+        );
     }
+    check_caps(inst);
+    let comps = decompose_jobs(inst, cost.min_zone());
+    stats.note_components(&comps);
+    // Every component's Lemma 3 matching before any search opens: one
+    // infeasible component makes the whole instance infeasible (the
+    // matching decomposes along the same cuts).
+    let mut matched = Vec::with_capacity(comps.len());
+    for jobs in &comps {
+        let sub = sub_instance(inst, jobs);
+        let Some(greedy) = complete_schedule(&sub, &vec![None; jobs.len()]) else {
+            return (None, stats);
+        };
+        matched.push((sub, greedy));
+    }
+    let mut times = vec![0; n];
+    let mut total = 0u64;
+    for (jobs, (sub, greedy)) in comps.iter().zip(matched) {
+        let (value, sched) = solve_component(&sub, cost, greedy, &mut stats);
+        total += value;
+        for (&j, &t) in jobs.iter().zip(sched.times()) {
+            times[j] = t;
+        }
+    }
+    (
+        Some((objective.finalize(total), MultiSchedule::new(times))),
+        stats,
+    )
 }
 
 /// The pre-decomposition solver: one branch-and-bound over the whole
@@ -226,8 +238,10 @@ pub fn solve_multi_undecomposed(
         return Some((objective.finalize(0), MultiSchedule::new(vec![])));
     }
     check_caps(inst);
-    let mut stats = SearchStats::default();
-    solve_component(inst, cost, &mut stats).map(|(v, sched)| (objective.finalize(v), sched))
+    // Exact feasibility + upper bound in one matching pass (Lemma 3).
+    let greedy = complete_schedule(inst, &vec![None; inst.job_count()])?;
+    let (value, sched) = solve_component(inst, cost, greedy, &mut SearchStats::default());
+    Some((objective.finalize(value), sched))
 }
 
 fn check_caps(inst: &MultiInstance) {
@@ -372,42 +386,21 @@ fn sub_instance(inst: &MultiInstance, jobs: &[usize]) -> MultiInstance {
     MultiInstance::from_times(times).expect("component jobs are valid")
 }
 
-/// Solve one (already connected) component: matching feasibility, early
-/// lower-bound cutoff, then the memoized branch-and-bound.
+/// Optimum and canonical witness of one feasible component, given its
+/// Lemma 3 witness `greedy`: the witness itself when an admissible
+/// bound meets its cost, otherwise the budgeted search below it.
 fn solve_component(
     inst: &MultiInstance,
     cost: Cost,
-    stats: &mut SearchStats,
-) -> Option<(u64, MultiSchedule)> {
-    let n = inst.job_count();
-    // Exact feasibility + upper bound in one matching pass (Lemma 3).
-    let greedy = complete_schedule(inst, &vec![None; n])?;
-    let upper = cost.of_schedule(&greedy);
-    if cost.instance_bound(inst) >= upper {
-        // The admissible bound meets the greedy witness: certified
-        // optimal without opening the search at all.
-        return Some((upper, greedy));
-    }
-    Some(search_component(
-        inst,
-        &inst.slot_union(),
-        cost,
-        upper,
-        stats,
-    ))
-}
-
-/// The memoized branch-and-bound over one component whose lower bound
-/// stayed below `upper`, the cost of its Lemma 3 witness: the exact
-/// optimum and its canonical witness.
-fn search_component(
-    inst: &MultiInstance,
-    slots: &[Time],
-    cost: Cost,
-    upper: u64,
+    greedy: MultiSchedule,
     stats: &mut SearchStats,
 ) -> (u64, MultiSchedule) {
-    let mut solver = Solver::new(inst, slots, cost);
+    let upper = cost.of_schedule(&greedy);
+    if cost.instance_bound(inst) >= upper {
+        // Certified optimal without opening the search at all.
+        return (upper, greedy);
+    }
+    let mut solver = Solver::new(inst, &inst.slot_union(), cost);
     // Budget `upper + 1` makes the root answer exact: the optimum is at
     // most the greedy witness's cost.
     let best = solver.suffix(None, 0, upper + 1);
@@ -633,24 +626,14 @@ impl Solver {
     }
 
     /// Re-walk the memoized search along an optimal branch, returning the
-    /// per-job times (original job order).
-    fn reconstruct(&mut self, total: u64) -> Vec<Time> {
-        self.reconstruct_from(None, 0, vec![0; self.n], total)
-    }
-
-    /// [`Solver::reconstruct`] continued from a mid-search state: `last`
-    /// slot placed, `mask` of placed jobs, their `times` filled in, and
-    /// the remaining `target` cost. The walk always takes the *first*
-    /// `(slot, job)` branch in canonical scan order that attains the
-    /// target, which is what makes reconstruction deterministic — and
-    /// identical between the sequential solver and a parallel subtree.
-    fn reconstruct_from(
-        &mut self,
-        mut last: Option<u16>,
-        mut mask: u64,
-        mut times: Vec<Time>,
-        mut target: u64,
-    ) -> Vec<Time> {
+    /// per-job times (original job order). The walk always takes the
+    /// *first* `(slot, job)` branch in canonical scan order that attains
+    /// the remaining target, which is what makes the witness
+    /// deterministic.
+    fn reconstruct(&mut self, mut target: u64) -> Vec<Time> {
+        let mut last: Option<u16> = None;
+        let mut mask = 0u64;
+        let mut times = vec![0; self.n];
         while mask != self.full() {
             let prev_time = last.map(|i| self.times[i as usize]);
             let lo = last.map_or(0, |i| i + 1);
@@ -688,331 +671,6 @@ impl Solver {
     }
 }
 
-/// One unit of parallel work: one root branch (first occupied slot and
-/// the job placed there) of one component's search tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SubtreeTask {
-    /// Component index within the plan.
-    pub component: usize,
-    /// Root index within the component's canonical frontier.
-    pub root: usize,
-}
-
-/// What one subtree task produced.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SubtreeOutcome {
-    /// Pruned at the root against the shared incumbent (strict
-    /// comparison, so a subtree attaining the optimum is never skipped).
-    Skipped,
-    /// Searched with budget `incumbent + 1` and proved to cost more than
-    /// that incumbent: never a winner. Distinct from `Solved { value:
-    /// None }`, which means the subtree has no completion at all.
-    Bounded {
-        /// Branch-and-bound states expanded by this task.
-        nodes: u64,
-    },
-    /// Explored to its exact subtree optimum. `value` is `None` when
-    /// the subtree admits no completion; `times` is the canonical
-    /// witness (component-local job order), `nodes` the states expanded.
-    Solved {
-        /// Exact subtree optimum (root pair cost included).
-        value: Option<u64>,
-        /// Canonical witness times, component-local job order.
-        times: Vec<Time>,
-        /// Branch-and-bound states expanded by this task.
-        nodes: u64,
-    },
-}
-
-struct PlanComponent {
-    /// Original job indices, relative order preserved.
-    jobs: Vec<usize>,
-    inst: MultiInstance,
-    slots: Vec<Time>,
-    /// Lemma 3 feasible completion — the initial incumbent witness.
-    greedy: MultiSchedule,
-    upper: u64,
-    /// Lower bound met the greedy witness: certified optimal, no tasks.
-    closed: bool,
-    /// Root frontier `(slot index, job)` in canonical scan order, built
-    /// on first use: a sequential solve never needs it.
-    roots: OnceLock<Vec<(u16, u8)>>,
-    /// Shared best-so-far (monotone non-increasing). Relaxed ordering is
-    /// sound: the bound is the only datum transferred, staleness only
-    /// weakens pruning, and exactness never depends on reading the
-    /// latest value — see DESIGN.md §13.
-    incumbent: AtomicU64,
-    updates: AtomicU64,
-}
-
-impl PlanComponent {
-    fn roots(&self, cost: Cost) -> &[(u16, u8)] {
-        self.roots.get_or_init(|| {
-            if self.closed {
-                Vec::new()
-            } else {
-                root_frontier(&self.inst, &self.slots, cost)
-            }
-        })
-    }
-
-    /// Copy a component-local witness into the whole instance's times.
-    fn place(&self, local: &[Time], times: &mut [Time]) {
-        for (l, &j) in self.jobs.iter().enumerate() {
-            times[j] = local[l];
-        }
-    }
-}
-
-/// The decomposed search, exposed as data for an external parallel
-/// driver (see the module docs' *Parallelism* section). Usage:
-/// [`ParallelPlan::new`] → [`ParallelPlan::tasks`] → run each task (any
-/// order, any thread) via [`ParallelPlan::run_task`] →
-/// [`ParallelPlan::finish`] with the outcomes in task order.
-pub struct ParallelPlan {
-    objective: MultiObjective,
-    cost: Cost,
-    n: usize,
-    components: Vec<PlanComponent>,
-}
-
-impl ParallelPlan {
-    /// Decompose and prepare the instance: per component the Lemma 3
-    /// matching, its witness's cost and the lower bound. `Err` iff
-    /// infeasible (some component has no complete matching), carrying
-    /// the statistics of that verdict: the component sizes, no search.
-    pub fn new(
-        inst: &MultiInstance,
-        objective: MultiObjective,
-    ) -> Result<ParallelPlan, SearchStats> {
-        let cost = objective.cost();
-        let n = inst.job_count();
-        let mut stats = SearchStats::default();
-        let mut components = Vec::new();
-        if n > 0 {
-            check_caps(inst);
-            let comps = decompose_jobs(inst, cost.min_zone());
-            stats.note_components(&comps);
-            for jobs in comps {
-                let sub = sub_instance(inst, &jobs);
-                let Some(greedy) = complete_schedule(&sub, &vec![None; jobs.len()]) else {
-                    // One infeasible component makes the whole instance
-                    // infeasible (the matching decomposes along the
-                    // same cuts).
-                    return Err(stats);
-                };
-                let upper = cost.of_schedule(&greedy);
-                let closed = cost.instance_bound(&sub) >= upper;
-                components.push(PlanComponent {
-                    jobs,
-                    slots: sub.slot_union(),
-                    inst: sub,
-                    greedy,
-                    upper,
-                    closed,
-                    roots: OnceLock::new(),
-                    incumbent: AtomicU64::new(upper),
-                    updates: AtomicU64::new(0),
-                });
-            }
-        }
-        Ok(ParallelPlan {
-            objective,
-            cost,
-            n,
-            components,
-        })
-    }
-
-    /// Solve every component on the calling thread: one budgeted search
-    /// per component its lower bound did not close, reusing the plan's
-    /// matchings and bounds. This is [`solve_multi_stats`]; its result
-    /// is always `Some` and equals [`ParallelPlan::finish`]'s for any
-    /// task order.
-    pub fn solve_sequential(&self) -> (Option<(u64, MultiSchedule)>, SearchStats) {
-        let mut stats = SearchStats {
-            component_jobs: self.components.iter().map(|c| c.jobs.len()).collect(),
-            ..SearchStats::default()
-        };
-        let mut times = vec![0; self.n];
-        let mut total = 0u64;
-        for comp in &self.components {
-            if comp.closed {
-                total += comp.upper;
-                comp.place(comp.greedy.times(), &mut times);
-            } else {
-                let (value, sched) =
-                    search_component(&comp.inst, &comp.slots, self.cost, comp.upper, &mut stats);
-                total += value;
-                comp.place(sched.times(), &mut times);
-            }
-        }
-        let sched = MultiSchedule::new(times);
-        (Some((self.objective.finalize(total), sched)), stats)
-    }
-
-    /// Job count of the largest component that still needs search (0
-    /// when every component closed at its lower bound): the size the
-    /// subtree fan-out would actually split.
-    pub fn search_jobs(&self) -> usize {
-        self.components
-            .iter()
-            .filter(|c| !c.closed)
-            .map(|c| c.jobs.len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Every subtree task, component by component, roots in canonical
-    /// order. Outcomes must be handed back to [`ParallelPlan::finish`]
-    /// in exactly this order.
-    pub fn tasks(&self) -> Vec<SubtreeTask> {
-        let mut out = Vec::new();
-        for (component, comp) in self.components.iter().enumerate() {
-            for root in 0..comp.roots(self.cost).len() {
-                out.push(SubtreeTask { component, root });
-            }
-        }
-        out
-    }
-
-    /// Explore one subtree with the shared incumbent as its budget: to
-    /// its exact optimum when that is at most the incumbent, to a proof
-    /// that it is above it otherwise, or not at all when even the
-    /// admissible floor is above it. Safe to call concurrently from any
-    /// thread.
-    pub fn run_task(&self, task: &SubtreeTask) -> SubtreeOutcome {
-        let comp = &self.components[task.component];
-        let (s, job) = comp.roots(self.cost)[task.root];
-        let nc = comp.inst.job_count();
-        let pair = self.cost.pair(None, comp.slots[s as usize]);
-        let floor = self.cost.suffix_floor(nc - 1);
-        // `+ 1` keeps the test strict: a subtree whose exact optimum
-        // equals the incumbent is neither skipped nor bounded, so every
-        // optimum-attaining root reports its value — that is what keeps
-        // the winner choice timing-independent.
-        let budget = comp.incumbent.load(Ordering::Relaxed) + 1;
-        if pair.saturating_add(floor) >= budget {
-            return SubtreeOutcome::Skipped;
-        }
-        let mut solver = Solver::new(&comp.inst, &comp.slots, self.cost);
-        let mask = 1u64 << job;
-        let suffix = solver.suffix(Some(s), mask, budget - pair);
-        if suffix == INF {
-            return SubtreeOutcome::Solved {
-                value: None,
-                times: Vec::new(),
-                nodes: solver.nodes,
-            };
-        }
-        if pair + suffix >= budget {
-            return SubtreeOutcome::Bounded {
-                nodes: solver.nodes,
-            };
-        }
-        let value = pair + suffix;
-        let prev = comp.incumbent.fetch_min(value, Ordering::Relaxed);
-        if value < prev {
-            comp.updates.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut times = vec![0; nc];
-        times[job as usize] = comp.slots[s as usize];
-        let times = solver.reconstruct_from(Some(s), mask, times, suffix);
-        SubtreeOutcome::Solved {
-            value: Some(value),
-            times,
-            nodes: solver.nodes,
-        }
-    }
-
-    /// Fold the per-task outcomes (in [`ParallelPlan::tasks`] order)
-    /// into the instance optimum, its canonical witness, and the search
-    /// statistics. Per component the winner is the **first** root in
-    /// canonical order attaining the component optimum — the same branch
-    /// sequential reconstruction takes, which is why the result is
-    /// bit-identical to the sequential solver for any thread count.
-    pub fn finish(&self, outcomes: &[SubtreeOutcome]) -> (u64, MultiSchedule, SearchStats) {
-        let mut stats = SearchStats {
-            component_jobs: self.components.iter().map(|c| c.jobs.len()).collect(),
-            subtree_tasks: outcomes.len() as u64,
-            ..SearchStats::default()
-        };
-        let mut times = vec![0; self.n];
-        let mut total = 0u64;
-        let mut offset = 0usize;
-        for comp in &self.components {
-            let roots = comp.roots(self.cost).len();
-            let slice = &outcomes[offset..offset + roots];
-            offset += roots;
-            stats.incumbent_updates += comp.updates.load(Ordering::Relaxed);
-            if comp.closed {
-                total += comp.upper;
-                comp.place(comp.greedy.times(), &mut times);
-                continue;
-            }
-            let mut best = INF;
-            let mut winner: Option<&[Time]> = None;
-            for outcome in slice {
-                match outcome {
-                    SubtreeOutcome::Skipped => {}
-                    SubtreeOutcome::Bounded { nodes } => stats.nodes_expanded += nodes,
-                    SubtreeOutcome::Solved {
-                        value,
-                        times: sub_times,
-                        nodes,
-                    } => {
-                        stats.nodes_expanded += nodes;
-                        // Strictly `<`, so the first root keeps ties — the
-                        // canonical winner.
-                        if let Some(v) = value {
-                            if *v < best {
-                                best = *v;
-                                winner = Some(sub_times);
-                            }
-                        }
-                    }
-                }
-            }
-            // A feasible, non-closed component always yields a finite
-            // winner: a subtree attaining the optimum is never skipped
-            // or bounded (its budget is at least the optimum + 1) and
-            // never returns `None`.
-            // analyzer: allow(panic-free): see the invariant above
-            let winner = winner.expect("some subtree attains the component optimum");
-            assert!(best <= comp.upper, "subtree optimum beat by greedy?");
-            total += best;
-            comp.place(winner, &mut times);
-        }
-        assert_eq!(offset, outcomes.len(), "outcomes misaligned with tasks");
-        (
-            self.objective.finalize(total),
-            MultiSchedule::new(times),
-            stats,
-        )
-    }
-}
-
-/// The canonical root frontier of one component: every `(first slot,
-/// job)` branch the sequential search's root state would scan, in scan
-/// order.
-fn root_frontier(inst: &MultiInstance, slots: &[Time], cost: Cost) -> Vec<(u16, u8)> {
-    let seed = Solver::new(inst, slots, cost);
-    let n = inst.job_count();
-    let mut hi = (slots.len() - n) as u16;
-    for j in 0..n {
-        hi = hi.min(seed.max_slot[j]);
-    }
-    let mut roots = Vec::new();
-    for s in 0..=hi {
-        for &job in &seed.jobs_at[s as usize] {
-            if seed.canonical(job, 0) {
-                roots.push((s, job));
-            }
-        }
-    }
-    roots
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1020,15 +678,6 @@ mod tests {
 
     fn inst(times: &[Vec<i64>]) -> MultiInstance {
         MultiInstance::from_times(times.to_vec()).unwrap()
-    }
-
-    /// Sequential reference driver for [`ParallelPlan`]: run every task
-    /// inline, in order.
-    fn run_plan(i: &MultiInstance, obj: MultiObjective) -> Option<(u64, MultiSchedule)> {
-        let plan = ParallelPlan::new(i, obj).ok()?;
-        let outcomes: Vec<_> = plan.tasks().iter().map(|t| plan.run_task(t)).collect();
-        let (value, sched, _) = plan.finish(&outcomes);
-        Some((value, sched))
     }
 
     #[test]
@@ -1080,7 +729,6 @@ mod tests {
         assert_eq!(min_gaps_multi(&i), None);
         assert_eq!(min_spans_multi(&i), None);
         assert_eq!(min_power_multi(&i, 4), None);
-        assert!(run_plan(&i, MultiObjective::Spans).is_none());
     }
 
     #[test]
@@ -1088,7 +736,6 @@ mod tests {
         let i = MultiInstance::new(vec![]).unwrap();
         assert_eq!(min_gaps_multi(&i).unwrap().0, 0);
         assert_eq!(min_power_multi(&i, 7).unwrap().0, 0);
-        assert_eq!(run_plan(&i, MultiObjective::Gaps).unwrap().0, 0);
     }
 
     #[test]
@@ -1166,71 +813,6 @@ mod tests {
         sched.verify(&i).unwrap();
         assert_eq!(spans, 3);
         assert_eq!(stats.component_jobs, vec![2, 1, 1]);
-        assert_eq!(stats.subtree_steals, 0, "core never records steals");
-    }
-
-    #[test]
-    fn parallel_plan_is_bit_identical_to_the_sequential_solver() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..40u64 {
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0xA5A5));
-            let jobs: Vec<Vec<i64>> = (0..rng.gen_range(1..=8))
-                .map(|_| {
-                    (0..rng.gen_range(1..=3))
-                        .map(|_| rng.gen_range(0..24))
-                        .collect()
-                })
-                .collect();
-            let i = inst(&jobs);
-            for obj in [
-                MultiObjective::Gaps,
-                MultiObjective::Spans,
-                MultiObjective::Power { alpha: 3 },
-            ] {
-                let seq = solve_multi_stats(&i, obj).0;
-                let par = run_plan(&i, obj);
-                match (seq, par) {
-                    (None, None) => {}
-                    (Some((sv, ss)), Some((pv, ps))) => {
-                        assert_eq!(sv, pv, "seed {seed}: value diverged on {jobs:?}");
-                        assert_eq!(
-                            ss.times(),
-                            ps.times(),
-                            "seed {seed}: schedule diverged on {jobs:?}"
-                        );
-                    }
-                    (s, p) => panic!("seed {seed}: feasibility diverged: {s:?} vs {p:?}"),
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn subtree_outcomes_fold_regardless_of_execution_order() {
-        // Run the tasks in reverse order (worst-case steal pattern);
-        // outcomes are folded by position, so the result must not move.
-        let i = inst(&[
-            vec![0, 2, 5],
-            vec![1, 3],
-            vec![4, 6],
-            vec![20, 21],
-            vec![21, 22],
-        ]);
-        let obj = MultiObjective::Spans;
-        let plan = ParallelPlan::new(&i, obj).unwrap();
-        let tasks = plan.tasks();
-        assert!(tasks.len() > 1, "expected a real frontier");
-        let mut outcomes: Vec<Option<SubtreeOutcome>> = vec![None; tasks.len()];
-        for (idx, task) in tasks.iter().enumerate().rev() {
-            outcomes[idx] = Some(plan.run_task(task));
-        }
-        let outcomes: Vec<_> = outcomes.into_iter().map(Option::unwrap).collect();
-        let (value, sched, stats) = plan.finish(&outcomes);
-        let (seq_value, seq_sched) = solve_multi_stats(&i, obj).0.unwrap();
-        assert_eq!(value, seq_value);
-        assert_eq!(sched.times(), seq_sched.times());
-        assert_eq!(stats.subtree_tasks, tasks.len() as u64);
     }
 
     #[test]
@@ -1278,33 +860,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn later_root_above_the_incumbent_folds_as_bounded() {
-        // Roots in canonical order: (3, job 1) → {3,4},{6} = 2 spans,
-        // the optimum; (3, job 2) and (4, job 2) both force job 1 to 8,
-        // three spans. Run in order, the first root sets the incumbent
-        // to 2 and the later ones prove they cannot reach it.
-        let i = inst(&[vec![6], vec![3, 8], vec![3, 4]]);
-        let plan = ParallelPlan::new(&i, MultiObjective::Spans).unwrap();
-        let outcomes: Vec<_> = plan.tasks().iter().map(|t| plan.run_task(t)).collect();
-        assert_eq!(outcomes.len(), 3);
-        assert!(
-            matches!(outcomes[0], SubtreeOutcome::Solved { value: Some(2), .. }),
-            "{outcomes:?}"
-        );
-        for later in &outcomes[1..] {
-            assert!(
-                matches!(later, SubtreeOutcome::Bounded { nodes } if *nodes > 0),
-                "a feasible subtree above the incumbent must not read as infeasible: {later:?}"
-            );
-        }
-        let (value, sched, stats) = plan.finish(&outcomes);
-        assert_eq!(value, 2);
-        assert_eq!(sched.times(), &[6, 3, 4]);
-        assert_eq!(sched.times(), min_spans_multi(&i).unwrap().1.times());
-        assert!(stats.nodes_expanded > 0);
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod cache;
 pub mod canonical;
 pub mod metrics;
 pub mod online;
-pub mod parallel;
 pub mod pool;
 pub mod router;
 
@@ -208,14 +207,8 @@ pub struct RequestOutcome {
 }
 
 impl Engine {
-    /// Build an engine. A router `multi_exact_threads` of 0 ("inherit")
-    /// resolves to the engine's worker-thread count here, so big
-    /// multi-interval instances get intra-instance parallelism from the
-    /// same `--threads` knob that fans batches out.
-    pub fn new(mut config: EngineConfig) -> Engine {
-        if config.router.multi_exact_threads == 0 {
-            config.router.multi_exact_threads = config.threads.max(1);
-        }
+    /// Build an engine.
+    pub fn new(config: EngineConfig) -> Engine {
         let cache = ShardedCache::new(config.cache_capacity, config.cache_shards);
         Engine {
             config,
@@ -689,8 +682,7 @@ mod tests {
         use rand::SeedableRng;
         // An 18-job coupled banded core (the second `perf::coupled_batch`
         // instance): no dead zone splits it and its lower bounds sit
-        // below the optimum, so the search must open, and the component
-        // still searched clears the parallel threshold (17).
+        // below the optimum, so the search must open.
         let mut rng = StdRng::seed_from_u64(0xC09E);
         let _first = multi_interval::banded(&mut rng, 18, 3, 8, 2);
         let inst = BatchInstance::Multi(multi_interval::banded(&mut rng, 18, 3, 8, 2));
@@ -705,7 +697,6 @@ mod tests {
             lines[0]
         );
         assert!(report.search.nodes_expanded > 0);
-        assert!(report.search.subtree_tasks > 0, "parallel path should run");
         assert!(report.search.components.iter().sum::<u64>() > 0);
         // A second identical batch is a pure cache hit: its report must
         // show zero *new* search effort even though the lifetime totals

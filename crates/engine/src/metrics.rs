@@ -25,16 +25,16 @@ pub const COMPONENT_BUCKET_EDGES: [u64; 7] = [1, 2, 4, 8, 16, 32, 64];
 
 /// Accumulated branch-and-bound search effort across multi-exact solves:
 /// the aggregate view of [`gaps_core::multi_exact::SearchStats`] that
-/// `STATS v3` and the batch report print.
+/// `STATS v4` and the batch report print.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SearchTotals {
     /// Branch-and-bound states expanded (memo misses) across solves.
     pub nodes_expanded: u64,
-    /// Subtree tasks enumerated by parallel solves.
+    /// Always 0; kept only because `perfbench/` still reads it.
     pub subtree_tasks: u64,
-    /// Subtree tasks executed by a non-primary worker (stolen).
+    /// Always 0; kept only because `perfbench/` still reads it.
     pub subtree_steals: u64,
-    /// Shared-incumbent tightenings across parallel solves.
+    /// Always 0; kept only because `perfbench/` still reads it.
     pub incumbent_updates: u64,
     /// Decomposed-component size histogram; bucket `i` counts components
     /// with at most [`COMPONENT_BUCKET_EDGES`]`[i]` jobs (first bucket
@@ -46,9 +46,6 @@ impl SearchTotals {
     /// Fold one solve's statistics in.
     pub fn record(&mut self, stats: &SearchStats) {
         self.nodes_expanded += stats.nodes_expanded;
-        self.subtree_tasks += stats.subtree_tasks;
-        self.subtree_steals += stats.subtree_steals;
-        self.incumbent_updates += stats.incumbent_updates;
         for &jobs in &stats.component_jobs {
             let bucket = COMPONENT_BUCKET_EDGES
                 .iter()
@@ -67,12 +64,8 @@ impl SearchTotals {
         }
         SearchTotals {
             nodes_expanded: self.nodes_expanded.saturating_sub(earlier.nodes_expanded),
-            subtree_tasks: self.subtree_tasks.saturating_sub(earlier.subtree_tasks),
-            subtree_steals: self.subtree_steals.saturating_sub(earlier.subtree_steals),
-            incumbent_updates: self
-                .incumbent_updates
-                .saturating_sub(earlier.incumbent_updates),
             components,
+            ..SearchTotals::default()
         }
     }
 
@@ -202,11 +195,8 @@ impl fmt::Display for EngineReport {
         if !self.search.is_empty() {
             write!(
                 f,
-                "search: {} node(s) expanded, {} subtree task(s) ({} stolen), {} incumbent update(s), components",
+                "search: {} node(s) expanded, components",
                 self.search.nodes_expanded,
-                self.search.subtree_tasks,
-                self.search.subtree_steals,
-                self.search.incumbent_updates,
             )?;
             for (edge, count) in COMPONENT_BUCKET_EDGES.iter().zip(&self.search.components) {
                 if *count > 0 {
@@ -478,8 +468,8 @@ impl MetricsRegistry {
     }
 
     /// Record one multi-exact solve's branch-and-bound effort (nodes
-    /// expanded, component histogram, subtree tasks/steals, incumbent
-    /// updates). Once per solve, so a plain mutex is fine.
+    /// expanded, component histogram). Once per solve, so a plain mutex
+    /// is fine.
     pub fn record_search(&self, stats: &SearchStats) {
         self.search.lock().record(stats);
     }
@@ -617,18 +607,6 @@ impl MetricsSnapshot {
         rows.push((
             "search.nodes_expanded".to_string(),
             self.search.nodes_expanded.to_string(),
-        ));
-        rows.push((
-            "search.subtree_tasks".to_string(),
-            self.search.subtree_tasks.to_string(),
-        ));
-        rows.push((
-            "search.subtree_steals".to_string(),
-            self.search.subtree_steals.to_string(),
-        ));
-        rows.push((
-            "search.incumbent_updates".to_string(),
-            self.search.incumbent_updates.to_string(),
         ));
         for (edge, count) in COMPONENT_BUCKET_EDGES.iter().zip(&self.search.components) {
             rows.push((format!("search.components_le_{edge}"), count.to_string()));
@@ -929,9 +907,6 @@ mod tests {
             "policy.timeout.ratio_mean",
             "policy.timeout.ratio_max",
             "search.nodes_expanded",
-            "search.subtree_tasks",
-            "search.subtree_steals",
-            "search.incumbent_updates",
             "search.components_le_1",
             "search.components_le_64",
         ] {
@@ -951,9 +926,6 @@ mod tests {
         totals.record(&SearchStats {
             nodes_expanded: 100,
             component_jobs: vec![1, 2, 3, 9, 64],
-            subtree_tasks: 7,
-            subtree_steals: 2,
-            incumbent_updates: 3,
         });
         assert_eq!(totals.nodes_expanded, 100);
         // 1 → le1, 2 → le2, 3 → le4, 9 → le16, 64 → le64.
@@ -963,14 +935,9 @@ mod tests {
         later.record(&SearchStats {
             nodes_expanded: 50,
             component_jobs: vec![5],
-            subtree_tasks: 1,
-            subtree_steals: 0,
-            incumbent_updates: 1,
         });
         let delta = later.since(&totals);
         assert_eq!(delta.nodes_expanded, 50);
-        assert_eq!(delta.subtree_tasks, 1);
-        assert_eq!(delta.incumbent_updates, 1);
         assert_eq!(delta.components, [0, 0, 0, 1, 0, 0, 0]);
         assert!(!delta.is_empty());
         assert!(later.since(&later).is_empty());
@@ -983,20 +950,13 @@ mod tests {
         reg.record_search(&SearchStats {
             nodes_expanded: 10,
             component_jobs: vec![4],
-            subtree_tasks: 0,
-            subtree_steals: 0,
-            incumbent_updates: 0,
         });
         reg.record_search(&SearchStats {
             nodes_expanded: 5,
             component_jobs: vec![30],
-            subtree_tasks: 12,
-            subtree_steals: 4,
-            incumbent_updates: 2,
         });
         let snap = reg.snapshot();
         assert_eq!(snap.search.nodes_expanded, 15);
-        assert_eq!(snap.search.subtree_steals, 4);
         let rows = snap.stat_rows();
         let get = |key: &str| {
             rows.iter()
@@ -1005,7 +965,6 @@ mod tests {
                 .unwrap()
         };
         assert_eq!(get("search.nodes_expanded"), "15");
-        assert_eq!(get("search.subtree_tasks"), "12");
         assert_eq!(get("search.components_le_4"), "1");
         assert_eq!(get("search.components_le_32"), "1");
     }
@@ -1018,13 +977,12 @@ mod tests {
         busy.search.record(&SearchStats {
             nodes_expanded: 42,
             component_jobs: vec![2, 2],
-            subtree_tasks: 6,
-            subtree_steals: 1,
-            incumbent_updates: 2,
         });
         let text = busy.to_string();
-        assert!(text.contains("search: 42 node(s) expanded"), "{text}");
-        assert!(text.contains("6 subtree task(s) (1 stolen)"), "{text}");
+        assert!(
+            text.contains("search: 42 node(s) expanded, components"),
+            "{text}"
+        );
         assert!(text.contains("le2=2"), "{text}");
     }
 

@@ -59,43 +59,23 @@ where
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    map_ordered_counted(items, threads, f).0
-}
-
-/// [`map_ordered`] with per-worker task accounting: returns the results
-/// in input order plus how many items each of the `threads` workers
-/// actually executed (index 0 = first worker). The parallel
-/// branch-and-bound driver uses the counts to report *steals* — subtree
-/// tasks that ran on a worker other than the first — without perturbing
-/// the deterministic index reassembly.
-///
-/// # Panics
-/// Re-raises panics from worker threads after the scope joins.
-pub fn map_ordered_counted<T, R, F>(items: Vec<T>, threads: usize, f: F) -> (Vec<R>, Vec<u64>)
-where
-    T: Send,
-    R: Send,
-    F: Fn(usize, T) -> R + Sync,
-{
     let total = items.len();
     if total == 0 {
-        return (Vec::new(), vec![0; threads.max(1)]);
+        return Vec::new();
     }
     // More workers than items would just be idle OS threads (and an
     // absurd request, e.g. `--threads 500000`, would die in spawn).
     let threads = threads.clamp(1, total);
-    let executed: Vec<AtomicU64> = (0..threads).map(|_| AtomicU64::new(0)).collect();
     let (work_tx, work_rx) = channel::bounded::<(usize, T)>(threads * 2);
     let (result_tx, result_rx) = channel::unbounded::<(usize, R)>();
     let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
     crossbeam::scope(|s| {
-        for counter in &executed {
+        for _ in 0..threads {
             let work_rx = work_rx.clone();
             let result_tx = result_tx.clone();
             let f = &f;
             s.spawn(move |_| {
                 for (index, item) in work_rx {
-                    counter.fetch_add(1, SeqCst);
                     // The collector only disappears early if a sibling
                     // panicked; stop quietly and let the scope re-raise.
                     if result_tx.send((index, f(index, item))).is_err() {
@@ -118,12 +98,10 @@ where
         }
     })
     .expect("worker threads join");
-    let results = results
+    results
         .into_iter()
         .map(|r| r.expect("every index was filled"))
-        .collect();
-    let executed = executed.into_iter().map(AtomicU64::into_inner).collect();
-    (results, executed)
+        .collect()
 }
 
 /// Spawn one named long-lived utility thread. Kept here so the
@@ -476,29 +454,6 @@ mod tests {
         let offsets = &offsets;
         let out = map_ordered(vec![0usize, 1, 2], 3, |_, i| offsets[i] + 1);
         assert_eq!(out, vec![11, 21, 31]);
-    }
-
-    #[test]
-    fn counted_variant_matches_and_accounts_for_every_item() {
-        let items: Vec<u64> = (0..250).collect();
-        let (out, counts) = map_ordered_counted(items.clone(), 4, |_, x| x * 3);
-        assert_eq!(out, map_ordered(items, 4, |_, x| x * 3));
-        assert_eq!(counts.len(), 4);
-        assert_eq!(counts.iter().sum::<u64>(), 250);
-    }
-
-    #[test]
-    fn counted_variant_on_one_thread_reports_no_steals() {
-        let (out, counts) = map_ordered_counted(vec![1u64, 2, 3], 1, |_, x| x);
-        assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(counts, vec![3]);
-    }
-
-    #[test]
-    fn counted_variant_handles_empty_input() {
-        let (out, counts) = map_ordered_counted(Vec::<i32>::new(), 6, |_, x| x);
-        assert!(out.is_empty());
-        assert_eq!(counts, vec![0; 6]);
     }
 
     #[test]

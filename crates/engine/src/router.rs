@@ -107,16 +107,12 @@ impl FallbackSolver {
     }
 }
 
-/// Smallest component job count worth fanning a single instance's
-/// subtrees out over the pool; below it the sequential solve wins on
-/// overhead.
-const PARALLEL_MIN_JOBS: usize = 17;
-
 /// Local-search rounds for the Theorem 3 set packing (the paper's ε).
 const APPROX_ROUNDS: usize = 64;
 
 /// Router knobs: how large a multi-interval instance the exact solver
-/// takes, how many workers it gets, and what to do past its caps.
+/// takes and what to do past its caps. Every exact solve runs on the
+/// calling thread; `--threads` parallelizes across instances only.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// The exact solver's state space is exponential in the *job* count,
@@ -126,9 +122,7 @@ pub struct RouterConfig {
     /// …but at most this many jobs (64 is the solver's hard mask-width
     /// cap; 0 sends every multi-interval instance to the fallback chain).
     pub multi_exact_max_jobs: usize,
-    /// Intra-instance workers for the parallel branch-and-bound. `0`
-    /// means *inherit the engine's worker-thread count* (resolved by
-    /// `Engine::new`); `1` forces the sequential path.
+    /// Unread by the engine; kept only because `perfbench/` still sets it.
     pub multi_exact_threads: usize,
     /// Tried in order for multi-interval instances past the exact
     /// solver's caps; the first chain entry applicable to the objective
@@ -235,10 +229,9 @@ pub fn route(feat: &Features, objective: Objective, cfg: &RouterConfig) -> Solve
 /// and the result payload (e.g. `gaps=2`, `power<=9.50`, `infeasible`).
 ///
 /// The payload is a pure function of `(instance, objective, cfg)` — no
-/// randomness, clocks, or thread-dependence (the parallel
-/// branch-and-bound is bit-deterministic by construction) — which is
-/// what makes both the result cache and the deterministic batch output
-/// sound.
+/// randomness, clocks, or thread-dependence (every solve runs on the
+/// calling thread) — which is what makes both the result cache and the
+/// deterministic batch output sound.
 pub fn solve(
     inst: &BatchInstance,
     objective: Objective,
@@ -249,9 +242,8 @@ pub fn solve(
 
 /// [`solve`] with search-effort observation: multi-exact solves report
 /// their [`gaps_core::multi_exact::SearchStats`] (nodes expanded,
-/// component histogram, subtree tasks/steals, incumbent updates) into
-/// the registry. The payload is unaffected — observation never alters
-/// routing or results.
+/// component histogram) into the registry. The payload is unaffected —
+/// observation never alters routing or results.
 pub fn solve_observed(
     inst: &BatchInstance,
     objective: Objective,
@@ -290,21 +282,7 @@ pub fn solve_observed(
                 Objective::Spans => multi_exact::MultiObjective::Spans,
                 Objective::Power { alpha } => multi_exact::MultiObjective::Power { alpha },
             };
-            // Fan the branch-and-bound out across intra-instance workers
-            // only where the subtree overhead pays for itself: several
-            // configured threads *and* a component still to search above
-            // the sequential sweet spot. A large instance that decomposes
-            // into small pieces is solved on this thread from the same
-            // plan. Both paths are bit-identical.
-            let (result, stats) = match multi_exact::ParallelPlan::new(multi, multi_objective) {
-                Err(stats) => (None, stats),
-                Ok(plan)
-                    if cfg.multi_exact_threads > 1 && plan.search_jobs() >= PARALLEL_MIN_JOBS =>
-                {
-                    crate::parallel::run_plan(&plan, cfg.multi_exact_threads)
-                }
-                Ok(plan) => plan.solve_sequential(),
-            };
+            let (result, stats) = multi_exact::solve_multi_stats(multi, multi_objective);
             if let Some(metrics) = observer {
                 metrics.record_search(&stats);
             }
@@ -537,41 +515,36 @@ mod tests {
     }
 
     #[test]
-    fn fan_out_gates_on_the_largest_component_still_searched() {
+    fn multi_exact_records_the_sequential_search_whatever_the_component_shape() {
         use crate::metrics::MetricsRegistry;
         use gaps_workloads::multi_interval;
         use rand::rngs::StdRng;
         use rand::SeedableRng;
 
-        let cfg = RouterConfig {
-            multi_exact_threads: 2,
-            ..RouterConfig::default()
-        };
-        let tasks_for = |inst: &BatchInstance| {
+        let cfg = RouterConfig::default();
+        let check = |inst: &BatchInstance| {
             let metrics = MetricsRegistry::new();
             let (kind, payload) = solve_observed(inst, Objective::Gaps, &cfg, Some(&metrics));
             assert_eq!(kind, SolverKind::MultiExact);
-            let (seq, _) = match inst {
-                BatchInstance::Multi(m) => {
-                    multi_exact::solve_multi_stats(m, multi_exact::MultiObjective::Gaps)
-                }
-                BatchInstance::One(_) => unreachable!(),
+            let BatchInstance::Multi(m) = inst else {
+                unreachable!()
             };
+            let (seq, stats) = multi_exact::solve_multi_stats(m, multi_exact::MultiObjective::Gaps);
             assert_eq!(payload, exact("gaps", seq.map(|(v, _)| v)));
-            metrics.search_totals().subtree_tasks
+            assert_eq!(metrics.search_totals().nodes_expanded, stats.nodes_expanded);
+            stats.nodes_expanded
         };
-        // 24 jobs, past the whole-instance threshold, but four 6-job
-        // clusters behind uncrossed dead zones: sequential solve.
+        // 24 jobs in four 6-job clusters behind uncrossed dead zones.
         let mut rng = StdRng::seed_from_u64(0xDEC0);
         let clustered = multi_interval::clustered(&mut rng, 4, 6, 8, 2, 5);
         assert_eq!(clustered.job_count(), 24);
-        assert_eq!(tasks_for(&BatchInstance::Multi(clustered)), 0);
+        check(&BatchInstance::Multi(clustered));
         // An 18-job coupled core the decomposition cannot split (the
-        // second `perf::coupled_batch` instance) fans out.
+        // second `perf::coupled_batch` instance) opens the search.
         let mut rng = StdRng::seed_from_u64(0xC09E);
         let _first = multi_interval::banded(&mut rng, 18, 3, 8, 2);
         let coupled = multi_interval::banded(&mut rng, 18, 3, 8, 2);
-        assert!(tasks_for(&BatchInstance::Multi(coupled)) > 0);
+        assert!(check(&BatchInstance::Multi(coupled)) > 0);
     }
 
     #[test]

@@ -88,9 +88,11 @@ pub struct ServeConfig {
     pub shed_depth: u64,
     /// Print a metrics snapshot to stderr this often (default: off).
     pub report_interval: Option<Duration>,
-    /// Engine (cache + router) configuration. Its `threads` field is
-    /// replaced by [`ServeConfig::threads`], so an "inherit" (0) router
-    /// `multi_exact_threads` resolves to the serve pool's core size.
+    /// Engine (cache + router) configuration. Its `threads` field sizes
+    /// only `Engine::run_batch`, which the daemon never calls: the solve
+    /// pool is sized by [`ServeConfig::threads`] and
+    /// [`ServeConfig::max_threads`], and each request solves on one
+    /// pool worker.
     pub engine: EngineConfig,
 }
 
@@ -160,13 +162,8 @@ impl Server {
     pub fn bind(config: ServeConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(&config.listen)
             .map_err(|e| format!("cannot bind {}: {e}", config.listen))?;
-        // `--threads` doubles as the intra-instance worker count for big
-        // multi-interval instances (`Engine::new` resolves "inherit").
         let shared = Arc::new(Shared {
-            engine: Engine::new(EngineConfig {
-                threads: config.threads,
-                ..config.engine.clone()
-            }),
+            engine: Engine::new(config.engine.clone()),
             pool: TaskPool::elastic(
                 config.threads,
                 config.max_threads.max(config.threads),

@@ -38,12 +38,12 @@
 //! BUSY <id>               cache miss refused: admission queue full —
 //!                         backpressure, retry (hits are never refused)
 //! PONG                    PING reply
-//! STATS v3 … STATS end    snapshot block, one `stat <key> <value>`
+//! STATS v4 … STATS end    snapshot block, one `stat <key> <value>`
 //!                         line per metric (v2 added pool_workers,
 //!                         per-solver p50, per-policy ratio rows; v3
-//!                         adds the `search.*` branch-and-bound rows:
-//!                         nodes expanded, subtree tasks/steals,
-//!                         incumbent updates, component histogram)
+//!                         added the `search.*` branch-and-bound rows;
+//!                         v4 keeps only nodes expanded and the
+//!                         component histogram among them)
 //! DRAINING                DRAIN acknowledged
 //! SESSION begun …         session opened
 //! SESSION t=… …           arrive/step acknowledged with the live state

@@ -58,7 +58,7 @@ fn send_stats(shared: &Shared, writer: &Mutex<TcpStream>) {
     metrics.set_queue_depth(shared.pool.queued());
     metrics.set_pool_workers(shared.pool.workers());
     let snapshot = metrics.snapshot();
-    let mut block = String::from("STATS v3\n");
+    let mut block = String::from("STATS v4\n");
     block.push_str(&format!(
         "stat uptime_s {}\n",
         shared.started.elapsed().as_secs()

@@ -86,7 +86,7 @@ impl Client {
 
     /// Read until `STATS end`, returning the `stat` rows as a map.
     fn recv_stats(&mut self) -> HashMap<String, String> {
-        assert_eq!(self.recv(), "STATS v3");
+        assert_eq!(self.recv(), "STATS v4");
         let mut rows = HashMap::new();
         loop {
             let line = self.recv();
@@ -374,7 +374,7 @@ fn online_session_reports_tracker_ratio_and_stats_v2_rows() {
         "SESSION end policy=timeout alpha=4 jobs=3 online=20 offline=12 ratio=1.6667"
     );
     // Ordinary requests still work on the same connection, and the
-    // STATS v3 rows carry the per-policy ratio and pool-worker gauges.
+    // STATS v4 rows carry the per-policy ratio and pool-worker gauges.
     client.send("REQ after instance v1;processors 1;job 0 1");
     assert!(client.recv().starts_with("RES after one n=1 "));
     client.send("STATS");
@@ -395,13 +395,13 @@ fn online_session_reports_tracker_ratio_and_stats_v2_rows() {
     // The SESSION end offline solve plus the explicit REQ.
     assert_eq!(rows.get("requests").map(String::as_str), Some("2"));
     assert!(rows.contains_key("solver.forced_chain.p50_us"), "{rows:?}");
-    // v3: the search.* rows are always present (zero here — no
+    // The search.* rows are always present (zero here — no
     // multi-exact branch-and-bound ran on this connection).
     assert_eq!(
         rows.get("search.nodes_expanded").map(String::as_str),
         Some("0")
     );
-    assert!(rows.contains_key("search.subtree_steals"), "{rows:?}");
+    assert!(rows.contains_key("search.components_le_1"), "{rows:?}");
     client.send("DRAIN");
     assert_eq!(client.recv(), "DRAINING");
     daemon.finish();
@@ -529,18 +529,13 @@ fn blocker_payload() -> String {
     encode_payload(&serialize::multi_to_text(&inst))
 }
 
-/// A small one-interval request payload, distinct per `k` to the cache
-/// (one job whose window is `k + 1` slots wide).
-fn small_payload(k: usize) -> String {
-    format!("instance v1;processors 1;job 0 {}", k + 1)
-}
-
-/// `--threads` is also the intra-instance worker count: a coupled
-/// 18-job request fans its branch-and-bound out into subtree tasks on a
-/// two-worker daemon and stays sequential on a one-worker daemon.
+/// `--threads` sizes the serve pool and nothing else: a heavy request
+/// gets the same reply and expands the same branch-and-bound nodes on a
+/// one-worker and a two-worker daemon.
 #[test]
-fn serve_threads_drive_the_parallel_branch_and_bound() {
-    for (threads, parallel) in [(2, true), (1, false)] {
+fn serve_threads_leave_the_heavy_search_sequential() {
+    let mut seen = Vec::new();
+    for threads in [1, 2] {
         let daemon = start(ServeConfig {
             threads,
             max_threads: threads,
@@ -552,12 +547,20 @@ fn serve_threads_drive_the_parallel_branch_and_bound() {
         assert!(reply.contains("solver=multi_exact"), "{reply}");
         client.send("STATS");
         let rows = client.recv_stats();
-        let tasks: u64 = rows["search.subtree_tasks"].parse().unwrap();
-        assert_eq!(tasks > 0, parallel, "threads {threads}: {tasks} tasks");
+        let nodes: u64 = rows["search.nodes_expanded"].parse().unwrap();
+        assert!(nodes > 0, "threads {threads}: the search must open");
+        seen.push((reply, nodes));
         client.send("DRAIN");
         assert_eq!(client.recv(), "DRAINING");
         daemon.finish();
     }
+    assert_eq!(seen[0], seen[1], "one and two serve threads diverged");
+}
+
+/// A small one-interval request payload, distinct per `k` to the cache
+/// (one job whose window is `k + 1` slots wide).
+fn small_payload(k: usize) -> String {
+    format!("instance v1;processors 1;job 0 {}", k + 1)
 }
 
 #[test]

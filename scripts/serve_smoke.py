@@ -3,7 +3,7 @@
 
 Connects to a running daemon, exercises one of every protocol verb
 (PING, REQ, a malformed frame, STATS, a full SESSION
-begin/arrive/step/end online session, DRAIN), asserts the STATS v3
+begin/arrive/step/end online session, DRAIN), asserts the STATS v4
 counters — including the `search.*` branch-and-bound rows — reflect
 what was sent, and exits 0 only if the daemon answered everything and
 acknowledged the drain. Usage:
@@ -53,7 +53,7 @@ def main() -> None:
 
     def recv_stats() -> dict:
         send("STATS")
-        assert recv() == "STATS v3"
+        assert recv() == "STATS v4"
         rows = {}
         while True:
             line = recv()
@@ -70,13 +70,10 @@ def main() -> None:
     assert rows["in_flight"] == "0", rows
     assert int(rows["pool_workers"]) >= 1, rows
     assert int(rows["uptime_s"]) >= 1, rows
-    # v3 search rows exist from the first snapshot (zero until a
+    # Search rows exist from the first snapshot (zero until a
     # multi-exact branch-and-bound actually runs).
     for key in (
         "search.nodes_expanded",
-        "search.subtree_tasks",
-        "search.subtree_steals",
-        "search.incumbent_updates",
         "search.components_le_1",
         "search.components_le_64",
     ):

@@ -154,8 +154,8 @@ usage:
                 [--threads N] [--cache-capacity N]
                 [--fallback approx,greedy,bound]
                 [--replay-online timeout|sleep|never]
-                (--threads N also parallelises branch-and-bound inside
-                 each large multi-interval instance)
+                (--threads N solves that many instances at once; each
+                 instance is solved on one thread)
   gaps approx   --input FILE --alpha F [--rounds N]
   gaps simulate --input FILE --alpha N [--policy clairvoyant|timeout|sleep|never]
   gaps generate --kind uniform|feasible|bursty|multi|consultant|online|arrivals
@@ -380,10 +380,8 @@ fn cmd_batch(args: &Args) -> Result<String, String> {
         args.get("objective").unwrap_or("gaps"),
         args.parse_or("alpha", 1u64)?,
     )?;
-    // The default router's `multi_exact_threads` (0 = inherit
-    // `--threads`) is resolved by `Engine::new`, so the same knob that
-    // fans the batch out also powers the intra-instance parallel
-    // branch-and-bound on big instances.
+    // `--threads` fans the batch out across instances; each instance
+    // is solved on one worker.
     let mut router = gap_scheduling::engine::RouterConfig::default();
     if let Some(list) = args.get("fallback") {
         router.fallback = list

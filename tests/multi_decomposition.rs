@@ -1,5 +1,5 @@
-//! Golden pins for the PR-10 exact-solver levers: dead-zone component
-//! decomposition and the work-stealing parallel branch-and-bound.
+//! Golden pins for the exact multi-interval solver's dead-zone component
+//! decomposition, run through `multi_exact::solve_multi_stats`.
 //!
 //! The instance below is hand-built so every structural claim is
 //! checkable on paper: three components separated by dead zones no job
@@ -11,7 +11,7 @@
 //! literals and cross-checked against the exhaustive reference.
 
 use gap_scheduling::brute_force;
-use gap_scheduling::engine::parallel::solve_multi_parallel;
+use gap_scheduling::engine::{BatchInstance, Engine, EngineConfig, Objective};
 use gap_scheduling::instance::MultiInstance;
 use gap_scheduling::multi_exact::{self, MultiObjective};
 
@@ -68,43 +68,39 @@ fn golden_component_structure_and_optima() {
     assert_eq!(brute_force::min_power_multi(&inst, 2).unwrap().0, 16);
 }
 
+/// `--threads` fans a batch out across instances and nothing else: the
+/// engine's line and search effort for the coupled instance are the same
+/// at one, two and eight threads, on every objective.
 #[test]
 fn thread_counts_one_two_eight_are_bit_identical() {
-    let inst = coupled_instance();
-    for objective in [
-        MultiObjective::Gaps,
-        MultiObjective::Spans,
-        MultiObjective::Power { alpha: 2 },
+    let batch = [BatchInstance::Multi(coupled_instance())];
+    for (objective, payload) in [
+        (Objective::Gaps, "gaps=3"),
+        (Objective::Spans, "spans=4"),
+        (Objective::Power { alpha: 2 }, "power=16"),
     ] {
-        let (sequential, _) = multi_exact::solve_multi_stats(&inst, objective);
+        let mut reference = None;
         for threads in [1usize, 2, 8] {
-            let (parallel, stats) = solve_multi_parallel(&inst, objective, threads);
-            // Values AND witness schedules: the determinism contract is
-            // byte-identical `gaps batch` output at any --threads.
+            let engine = Engine::new(EngineConfig {
+                threads,
+                ..EngineConfig::default()
+            });
+            let (lines, report) = engine.run_batch(&batch, objective);
             assert_eq!(
-                parallel, sequential,
+                lines,
+                vec![format!("0 multi n=8 {payload} solver=multi_exact")],
                 "--threads {threads} diverged on {objective:?}"
             );
-            if threads == 1 {
-                assert_eq!(stats.subtree_steals, 0, "one worker cannot steal");
-            }
-            assert_eq!(stats.component_jobs, vec![5, 2, 1]);
+            // One component each of 5, 2 and 1 jobs (buckets ≤8, ≤2, ≤1).
+            assert_eq!(report.search.components, [1, 1, 0, 1, 0, 0, 0]);
+            assert!(report.search.nodes_expanded > 0, "the core must search");
+            let nodes = *reference.get_or_insert(report.search.nodes_expanded);
+            assert_eq!(
+                report.search.nodes_expanded, nodes,
+                "--threads {threads} changed the search on {objective:?}"
+            );
         }
     }
-}
-
-#[test]
-fn parallel_stats_account_for_the_subtree_fan_out() {
-    let inst = coupled_instance();
-    let (res, stats) = solve_multi_parallel(&inst, MultiObjective::Spans, 8);
-    assert_eq!(res.expect("feasible").0, 4);
-    // The coupled core's root frontier fans out into at least one
-    // subtree task per root (closed satellite components contribute
-    // none), every task expands nodes, and steals never exceed tasks.
-    assert!(stats.subtree_tasks >= 1, "{stats:?}");
-    assert!(stats.nodes_expanded > 0, "{stats:?}");
-    assert!(stats.subtree_steals <= stats.subtree_tasks, "{stats:?}");
-    assert!(stats.incumbent_updates <= stats.subtree_tasks, "{stats:?}");
 }
 
 /// A dead zone narrower than α must *not* be cut for the power

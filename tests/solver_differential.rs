@@ -161,17 +161,14 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
-    /// The two PR-10 levers — dead-zone component decomposition and the
-    /// work-stealing parallel branch-and-bound — must be invisible in the
+    /// Dead-zone component decomposition must be invisible in the
     /// answers. 200 instances per run, each solved on all three
-    /// objectives four ways: decomposed (the production path),
-    /// undecomposed (single monolithic search), parallel at 2 and at 8
-    /// workers. Values must agree everywhere; the parallel solver must
-    /// additionally reproduce the sequential *schedule* bit for bit —
-    /// that is the determinism contract `gaps batch --threads N` rests
-    /// on. The wide `t_max` makes multi-component draws common.
+    /// objectives two ways: decomposed (the production path) and
+    /// undecomposed (single monolithic search). Values must agree, and
+    /// the decomposed witness must verify and attain its value. The wide
+    /// `t_max` makes multi-component draws common.
     #[test]
-    fn decomposition_and_parallelism_preserve_the_optimum(
+    fn decomposition_preserves_the_optimum(
         inst in arb_multi(7, 24, 3),
         alpha in 0u64..8,
     ) {
@@ -201,17 +198,6 @@ proptest! {
                     }
                 };
                 prop_assert_eq!(attained, *value, "witness misses its value ({:?})", objective);
-            }
-            for threads in [2usize, 8] {
-                let (par, _) =
-                    gap_scheduling::engine::parallel::solve_multi_parallel(&inst, objective, threads);
-                prop_assert_eq!(
-                    &par,
-                    &dec,
-                    "parallel ({} workers) diverged from sequential ({:?})",
-                    threads,
-                    objective
-                );
             }
         }
     }

@@ -43,6 +43,10 @@ use std::rc::Rc;
 
 const INF: u64 = u64::MAX;
 
+/// Longest padded timeline (compressed horizon + two sentinels) the DP's
+/// packed state keys take.
+pub const MAX_TIMELINE: i64 = 16_000;
+
 fn add(a: u64, b: u64) -> u64 {
     if a == INF || b == INF {
         INF
@@ -207,7 +211,7 @@ impl Ctx {
         let t0 = horizon.start - 1;
         let len = horizon.end - horizon.start + 3;
         assert!(
-            len <= 16000,
+            len <= MAX_TIMELINE,
             "horizon too long; compress the instance first"
         );
         let jobs: Vec<(u16, u16)> = inst

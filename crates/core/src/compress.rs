@@ -51,14 +51,14 @@ impl TimeMap {
         self.pairs[i].0
     }
 
-    fn from_live_slots(live: &[Time], zone_width: impl Fn(u64) -> u64) -> TimeMap {
+    fn from_live_slots(live: &[Time], alpha: Option<u64>) -> TimeMap {
         let mut pairs = Vec::with_capacity(live.len());
         let mut next_compressed: Time = 0;
         let mut prev: Option<Time> = None;
         for &t in live {
             if let Some(p) = prev {
                 let hole = (t - p - 1) as u64;
-                next_compressed += zone_width(hole) as Time;
+                next_compressed += zone_width(hole, alpha) as Time;
             }
             pairs.push((next_compressed, t));
             next_compressed += 1;
@@ -72,7 +72,7 @@ impl TimeMap {
 /// zone shrinks to width 1. Returns the compressed instance and the time
 /// map. Gap counts of corresponding schedules are identical.
 pub fn compress_multi_gap(inst: &MultiInstance) -> (MultiInstance, TimeMap) {
-    compress_multi(inst, |hole| if hole == 0 { 0 } else { 1 })
+    compress_multi(inst, None)
 }
 
 /// Compress a multi-interval instance for the **power** objective with
@@ -80,15 +80,12 @@ pub fn compress_multi_gap(inst: &MultiInstance) -> (MultiInstance, TimeMap) {
 /// to width `alpha + 1`. Power costs of corresponding schedules are
 /// identical.
 pub fn compress_multi_power(inst: &MultiInstance, alpha: u64) -> (MultiInstance, TimeMap) {
-    compress_multi(inst, move |hole| hole.min(alpha + 1))
+    compress_multi(inst, Some(alpha))
 }
 
-fn compress_multi(
-    inst: &MultiInstance,
-    zone_width: impl Fn(u64) -> u64,
-) -> (MultiInstance, TimeMap) {
+fn compress_multi(inst: &MultiInstance, alpha: Option<u64>) -> (MultiInstance, TimeMap) {
     let live = inst.slot_union();
-    let map = TimeMap::from_live_slots(&live, zone_width);
+    let map = TimeMap::from_live_slots(&live, alpha);
     let jobs = inst
         .jobs()
         .iter()
@@ -105,37 +102,61 @@ fn compress_multi(
 /// stretches covered by no job window; windows never straddle them, so the
 /// remap applies cleanly to window endpoints.
 pub fn compress_instance_gap(inst: &Instance) -> (Instance, TimeMap) {
-    compress_instance(inst, |hole| if hole == 0 { 0 } else { 1 })
+    compress_instance(inst, None)
 }
 
 /// Compress a one-interval instance for the power objective with
 /// transition cost `alpha`.
 pub fn compress_instance_power(inst: &Instance, alpha: u64) -> (Instance, TimeMap) {
-    compress_instance(inst, move |hole| hole.min(alpha + 1))
+    compress_instance(inst, Some(alpha))
 }
 
-fn compress_instance(inst: &Instance, zone_width: impl Fn(u64) -> u64) -> (Instance, TimeMap) {
-    // Live slots: union of all windows. Merge window intervals.
+/// Compressed width of a dead zone of `hole` slots: 1 under the gap
+/// objective (`alpha = None`), at most `α + 1` under power.
+fn zone_width(hole: u64, alpha: Option<u64>) -> u64 {
+    hole.min(alpha.map_or(1, |alpha| alpha.saturating_add(1)))
+}
+
+/// Horizon length of the instance [`compress_instance_gap`]
+/// (`alpha = None`) or [`compress_instance_power`] would return, in
+/// `O(n log n)` from the merged windows: a caller can refuse an instance
+/// too wide for a DP before compression spends `O(width)` on its slots.
+/// Saturates at `u64::MAX`.
+pub fn compressed_len(inst: &Instance, alpha: Option<u64>) -> u64 {
+    let blocks = live_blocks(inst);
+    let zones = blocks
+        .windows(2)
+        .map(|w| zone_width(w[1].0.abs_diff(w[0].1) - 1, alpha));
+    let lens = blocks.iter().map(|&(r, d)| d.abs_diff(r).saturating_add(1));
+    lens.chain(zones).fold(0, u64::saturating_add)
+}
+
+/// The union of the job windows as sorted, disjoint `(first, last)`
+/// blocks.
+fn live_blocks(inst: &Instance) -> Vec<(Time, Time)> {
     let mut windows: Vec<(Time, Time)> = inst
         .jobs()
         .iter()
         .map(|j| (j.release, j.deadline))
         .collect();
     windows.sort_unstable();
+    // Fold each window that overlaps the block before it into that block.
+    windows.dedup_by(|next, block| {
+        let overlaps = next.0 <= block.1;
+        if overlaps {
+            block.1 = block.1.max(next.1);
+        }
+        overlaps
+    });
+    windows
+}
+
+fn compress_instance(inst: &Instance, alpha: Option<u64>) -> (Instance, TimeMap) {
     let mut live: Vec<Time> = Vec::new();
-    for (r, d) in windows {
-        let from = if let Some(&last) = live.last() {
-            if r <= last {
-                last + 1
-            } else {
-                r
-            }
-        } else {
-            r
-        };
-        live.extend(from..=d);
+    for (r, d) in live_blocks(inst) {
+        live.extend(r..=d);
     }
-    let map = TimeMap::from_live_slots(&live, zone_width);
+    let map = TimeMap::from_live_slots(&live, alpha);
     let jobs = inst
         .jobs()
         .iter()
@@ -223,6 +244,37 @@ mod tests {
         // Live: 0..=8 and 20..=21 → 20 maps to 10.
         assert_eq!(c.jobs()[2].release, 10);
         assert_eq!(c.jobs()[2].deadline, 11);
+    }
+
+    #[test]
+    fn compressed_len_matches_the_compressed_horizon() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xC0DE);
+        for _ in 0..300 {
+            // Nested, overlapping, adjacent and disjoint windows.
+            let windows: Vec<(Time, Time)> = (0..rng.gen_range(1..=6))
+                .map(|_| {
+                    let r: Time = rng.gen_range(0..40);
+                    (r, r + rng.gen_range(0..8i64))
+                })
+                .collect();
+            let inst = Instance::from_windows(windows, 1).unwrap();
+            let len = |c: &Instance| c.horizon().unwrap().len();
+            assert_eq!(
+                compressed_len(&inst, None),
+                len(&compress_instance_gap(&inst).0)
+            );
+            for alpha in [0, 2, 5] {
+                let (c, _) = compress_instance_power(&inst, alpha);
+                assert_eq!(compressed_len(&inst, Some(alpha)), len(&c));
+            }
+        }
+        // A wide window is measured, not materialized.
+        let wide =
+            Instance::from_windows([(0, 999_999), (5, 7), (2_000_000, 2_000_000)], 1).unwrap();
+        assert_eq!(compressed_len(&wide, None), 1_000_002);
+        assert_eq!(compressed_len(&wide, Some(9)), 1_000_011);
     }
 
     #[test]

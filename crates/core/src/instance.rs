@@ -70,9 +70,10 @@ impl Job {
         TimeInterval::new(self.release, self.deadline)
     }
 
-    /// Window length in slots (the job's slack plus one).
+    /// Window length in slots (the job's slack plus one), saturating at
+    /// `u64::MAX` for a window spanning all of `Time`.
     pub fn window_len(&self) -> u64 {
-        (self.deadline - self.release + 1) as u64
+        self.window().len()
     }
 }
 

@@ -19,30 +19,42 @@ use gaps_setcover::{greedy_cover, SetCoverInstance};
 /// Lower bound on the minimum number of **spans** of any complete
 /// schedule: the best of
 ///
-/// 1. `⌈n / max run length⌉` (a span fits inside one run), and
+/// 1. the polynomial bounds of [`polynomial_spans_lower_bound`], and
 /// 2. the minimum number of runs that can host all jobs (each occupied
 ///    run hosts ≥ 1 span), found by branch and bound over run subsets
 ///    with matching feasibility — exact when the run count is ≤ 20,
-///    else falls back to a greedy relaxation which remains a valid bound
-///    only through part 1 (the function then returns part 1 alone).
+///    else skipped (part 1 alone stays a valid bound).
 pub fn min_spans_lower_bound(inst: &MultiInstance) -> u64 {
+    floors(inst, true).1
+}
+
+/// The polynomial part of [`min_spans_lower_bound`]: the best of
+/// `⌈n / max run length⌉` (each occupied run hosts at most its length in
+/// jobs, and a span fits inside one run) and the
+/// [`skeleton_spans_lower_bound`]. Never runs the hosting-runs search,
+/// so it stays cheap past any run count.
+pub fn polynomial_spans_lower_bound(inst: &MultiInstance) -> u64 {
+    floors(inst, false).1
+}
+
+/// Lower bounds `(runs, spans)` on the runs a schedule occupies and on
+/// its spans: the capacity and skeleton floors, plus the exact
+/// hosting-runs count when `hosting` is set and there are ≤ 20 runs.
+fn floors(inst: &MultiInstance, hosting: bool) -> (u64, u64) {
     let n = inst.job_count() as u64;
     if n == 0 {
-        return 0;
+        return (0, 0);
     }
-    let slots = inst.slot_union();
-    let runs = runs_of(&slots);
+    let runs = runs_of(&inst.slot_union());
     let longest = runs.iter().map(|r| r.len()).max().unwrap_or(1);
-    let by_capacity = n.div_ceil(longest);
-
-    let by_skeleton = skeleton_spans_lower_bound(inst);
-    if runs.len() > 20 {
-        return by_capacity.max(by_skeleton);
+    let mut occupied = n.div_ceil(longest);
+    if hosting && runs.len() <= 20 {
+        // `None` (infeasible instance): any bound is vacuous.
+        if let Some(k) = min_hosting_runs(inst, &runs) {
+            occupied = occupied.max(k);
+        }
     }
-    match min_hosting_runs(inst, &runs) {
-        Some(k) => by_capacity.max(k).max(by_skeleton),
-        None => by_capacity, // infeasible instance: any bound is vacuous
-    }
+    (occupied, occupied.max(skeleton_spans_lower_bound(inst)))
 }
 
 /// Skeleton lower bound on the minimum number of **spans**, after
@@ -74,9 +86,27 @@ pub fn skeleton_spans_lower_bound(inst: &MultiInstance) -> u64 {
     }
     mandatory.sort_unstable();
     mandatory.dedup();
+    // fillers[i]: distinct jobs with an allowed slot strictly inside
+    // (mandatory[i], mandatory[i + 1]). One binary search per allowed
+    // slot; a job's slots are sorted, so its repeats in one gap are
+    // adjacent.
+    let mut fillers = vec![0u64; mandatory.len() - 1];
+    for job in inst.jobs() {
+        let mut last = None;
+        for &u in job.times() {
+            let Err(i) = mandatory.binary_search(&u) else {
+                continue;
+            };
+            if i == 0 || i == mandatory.len() || last == Some(i) {
+                continue;
+            }
+            fillers[i - 1] += 1;
+            last = Some(i);
+        }
+    }
     let slots = inst.slot_union();
     let mut breaks = 0u64;
-    for w in mandatory.windows(2) {
+    for (w, &fillers) in mandatory.windows(2).zip(&fillers) {
         let (t, next) = (w[0], w[1]);
         let d = (next - t - 1) as u64;
         if d == 0 {
@@ -87,11 +117,6 @@ pub fn skeleton_spans_lower_bound(inst: &MultiInstance) -> u64 {
         let all_allowed = (t + 1..next).all(|u| slots.binary_search(&u).is_ok());
         // …and d distinct jobs fill them (mandatory jobs at t/t' cannot:
         // their only slot is outside the open interval).
-        let fillers = inst
-            .jobs()
-            .iter()
-            .filter(|j| j.times().iter().any(|&u| u > t && u < next))
-            .count() as u64;
         if !all_allowed || fillers < d {
             breaks += 1;
         }
@@ -151,24 +176,34 @@ pub fn setcover_spans_relaxation(inst: &MultiInstance) -> u64 {
 
 /// Lower bound on the minimum **power** with transition cost `alpha`:
 ///
-/// `n + α + (k* − 1) · min(α, w_min)` where `k*` is the hosting-runs bound
-/// and `w_min` the narrowest dead zone — any schedule occupying `k* ≥ 2`
-/// runs crosses `k* − 1` dead zones, paying at least `min(α, zone width)`
-/// for each (idle-active bridge or sleep/wake).
+/// `n + α + (r − 1) · min(α, w_min) + (k − r) · min(α, 1)` where `r` and
+/// `k` are the occupied-run and span bounds of [`min_spans_lower_bound`]
+/// and `w_min` the narrowest dead zone. Any schedule occupying `r' ≥ r`
+/// runs in `k' ≥ max(k, r')` spans crosses `r' − 1` dead zones, paying at
+/// least `min(α, w_min)` for each (idle-active bridge or sleep/wake), and
+/// breaks `k' − r'` times inside a run, paying at least `min(α, 1)` for
+/// each; that total is smallest at `r' = r`, `k' = k`.
 pub fn min_power_lower_bound(inst: &MultiInstance, alpha: u64) -> u64 {
+    power_floor(inst, alpha, floors(inst, true))
+}
+
+/// The polynomial part of [`min_power_lower_bound`]: the same formula
+/// over the floors of [`polynomial_spans_lower_bound`].
+pub fn polynomial_power_lower_bound(inst: &MultiInstance, alpha: u64) -> u64 {
+    power_floor(inst, alpha, floors(inst, false))
+}
+
+fn power_floor(inst: &MultiInstance, alpha: u64, (runs, spans): (u64, u64)) -> u64 {
     let n = inst.job_count() as u64;
     if n == 0 {
         return 0;
     }
-    let slots = inst.slot_union();
-    let runs = runs_of(&slots);
-    let k = min_spans_lower_bound(inst);
-    let w_min = runs
+    let w_min = runs_of(&inst.slot_union())
         .windows(2)
         .map(|w| (w[1].start - w[0].end - 1) as u64)
         .min()
         .unwrap_or(0);
-    n + alpha + k.saturating_sub(1) * alpha.min(w_min)
+    n + alpha + runs.saturating_sub(1) * alpha.min(w_min) + (spans - runs) * alpha.min(1)
 }
 
 /// Exact minimum number of runs that can host a complete schedule
@@ -413,6 +448,18 @@ mod tests {
         assert_eq!(min_power_lower_bound(&inst, 5), 9);
         let (opt, _) = min_power_multi(&inst, 5).unwrap();
         assert_eq!(opt, 9);
+    }
+
+    #[test]
+    fn power_bound_charges_a_break_inside_a_run_at_most_one_slot() {
+        // The skeleton forces a break inside the run 0..=4 (one filler
+        // for three slots), and the only dead zone is 95 wide. The break
+        // costs min(α, 1), not min(α, 95): optimum 4 + 10 + 2 + 10 = 26.
+        let inst = MultiInstance::from_times([vec![0], vec![4], vec![1, 2, 3], vec![100]]).unwrap();
+        let (opt, _) = min_power_multi(&inst, 10).unwrap();
+        assert_eq!(opt, 26);
+        assert_eq!(min_power_lower_bound(&inst, 10), 25);
+        assert_eq!(polynomial_power_lower_bound(&inst, 10), 16);
     }
 
     #[test]

@@ -56,6 +56,11 @@ use std::rc::Rc;
 
 const INF: u64 = u64::MAX;
 
+/// Longest padded timeline (compressed horizon + two sentinels) and most
+/// jobs the DP's packed state keys take.
+pub const MAX_TIMELINE: i64 = 4_000;
+pub const MAX_JOBS: usize = 4_000;
+
 fn add(a: u64, b: u64) -> u64 {
     if a == INF || b == INF {
         INF
@@ -171,11 +176,11 @@ impl Ctx {
         let t0 = horizon.start - 1;
         let len = horizon.end - horizon.start + 3;
         assert!(
-            len <= 4000,
+            len <= MAX_TIMELINE,
             "horizon too long ({len}); compress the instance first"
         );
         assert!(
-            inst.job_count() <= 4000,
+            inst.job_count() <= MAX_JOBS,
             "too many jobs for the DP key packing"
         );
         let order: Vec<u32> = inst.deadline_order().iter().map(|&i| i as u32).collect();

@@ -27,10 +27,11 @@ impl TimeInterval {
         TimeInterval { start, end }
     }
 
-    /// Number of slots in the interval.
+    /// Number of slots in the interval, saturating at `u64::MAX` for the
+    /// whole of `Time` (whose width does not fit).
     #[inline]
     pub fn len(&self) -> u64 {
-        (self.end - self.start + 1) as u64
+        self.end.abs_diff(self.start).saturating_add(1)
     }
 
     /// Intervals are never empty by construction; kept for API symmetry.
@@ -125,6 +126,8 @@ mod tests {
         assert!(iv.overlaps(&TimeInterval::new(5, 9)));
         assert!(!iv.overlaps(&TimeInterval::new(6, 9)));
         assert_eq!(iv.iter().collect::<Vec<_>>(), vec![3, 4, 5]);
+        // The whole of `Time` saturates instead of wrapping to 0.
+        assert_eq!(TimeInterval::new(Time::MIN, Time::MAX).len(), u64::MAX);
     }
 
     #[test]

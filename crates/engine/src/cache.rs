@@ -1,9 +1,8 @@
-//! A sharded LRU cache from canonical instance keys to finished result
-//! lines.
+//! A sharded LRU cache from canonical instance keys to solved answers.
 //!
-//! Keys come from [`crate::canonical`]; values are the fully formatted
-//! result payloads (objective value + solver tag), so a hit bypasses the
-//! solver *and* the formatter and is guaranteed byte-identical to a miss.
+//! Keys come from [`crate::canonical`]; the engine's values are the
+//! typed `(Answer, SolverKind)` pairs the router returned, so a hit
+//! bypasses the solver and renders exactly the line a miss renders.
 //!
 //! Sharding: the key hash picks one of `shards` independent
 //! `parking_lot::Mutex`-protected maps, so concurrent workers rarely
@@ -11,8 +10,9 @@
 //! **intrusive doubly-linked LRU list** threaded through a preallocated
 //! slab: a hit splices its node to the front, an insert into a full shard
 //! unlinks the tail — both O(1), no scans, no per-operation allocation
-//! beyond the stored strings. (The seed implementation scanned the whole
-//! shard for the minimum clock on every eviction, O(shard capacity).)
+//! beyond the stored keys and values. (The seed implementation scanned
+//! the whole shard for the minimum clock on every eviction, O(shard
+//! capacity).)
 //!
 //! Hit/miss counters are relaxed atomics: they feed the
 //! [`crate::metrics::EngineReport`] and tolerate the usual
@@ -42,9 +42,9 @@ const NIL: u32 = u32::MAX;
 /// One slab node: the stored pair plus its LRU-list links. The key is an
 /// `Arc<str>` shared with the index entry, so each (often long,
 /// canonical-instance) key is stored once.
-struct Node {
+struct Node<V> {
     key: Arc<str>,
-    value: String,
+    value: V,
     /// Towards more recently used (NIL at the head).
     prev: u32,
     /// Towards less recently used (NIL at the tail).
@@ -53,11 +53,11 @@ struct Node {
 
 /// One shard: hash index into a slab of nodes threaded on an intrusive
 /// most-recent-first list.
-struct Shard {
+struct Shard<V> {
     /// Key → slab index (keys shared with the nodes).
     index: HashMap<Arc<str>, u32>,
     /// Node storage; freed slots are reused via `free`.
-    slab: Vec<Node>,
+    slab: Vec<Node<V>>,
     /// Reusable slab slots (from removals, if any ever happen).
     free: Vec<u32>,
     /// Most recently used node, NIL when empty.
@@ -66,8 +66,8 @@ struct Shard {
     tail: u32,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Shard {
+impl<V> Shard<V> {
+    fn new(capacity: usize) -> Shard<V> {
         Shard {
             index: HashMap::with_capacity(capacity),
             slab: Vec::with_capacity(capacity),
@@ -117,19 +117,18 @@ impl Shard {
     }
 
     /// Evict the least-recently-used entry — O(1) via the tail pointer.
+    /// The victim's slot goes on the free list with its stale key and
+    /// value, which the insert that evicted it overwrites at once.
     fn evict_tail(&mut self) {
         let victim = self.tail;
         debug_assert_ne!(victim, NIL, "evict called on an empty shard");
         self.unlink(victim);
-        let key = Arc::clone(&self.slab[victim as usize].key);
-        self.slab[victim as usize].key = Arc::from("");
-        self.slab[victim as usize].value = String::new();
-        let removed = self.index.remove(key.as_ref());
+        let removed = self.index.remove(self.slab[victim as usize].key.as_ref());
         debug_assert_eq!(removed, Some(victim));
         self.free.push(victim);
     }
 
-    fn insert(&mut self, key: String, value: String, capacity: usize) {
+    fn insert(&mut self, key: String, value: V, capacity: usize) {
         if let Some(&i) = self.index.get(key.as_str()) {
             self.slab[i as usize].value = value;
             self.touch(i);
@@ -163,8 +162,12 @@ impl Shard {
 
 /// Sharded LRU result cache. A capacity of 0 disables caching entirely
 /// (every lookup misses, inserts are dropped).
-pub struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
+///
+/// The `String` default for `V` is read only by `perfbench/`, whose
+/// frozen replay caches rendered result lines; the engine stores typed
+/// answers.
+pub struct ShardedCache<V = String> {
+    shards: Vec<Mutex<Shard<V>>>,
     /// Per-shard entry budgets; they sum to exactly the requested total
     /// capacity, so the user-facing memory bound is honored precisely.
     capacities: Vec<usize>,
@@ -172,12 +175,12 @@ pub struct ShardedCache {
     misses: AtomicU64,
 }
 
-impl ShardedCache {
+impl<V: Clone> ShardedCache<V> {
     /// Build a cache holding at most `capacity` entries total, spread
     /// over up to `shards` locks. The shard count is clamped to the
     /// capacity (never more locks than entries) and the budget is split
     /// exactly — no rounding up per shard.
-    pub fn new(capacity: usize, shards: usize) -> ShardedCache {
+    pub fn new(capacity: usize, shards: usize) -> ShardedCache<V> {
         let shard_count = shards.max(1).min(capacity.max(1));
         let capacities: Vec<usize> = (0..shard_count)
             .map(|i| capacity / shard_count + usize::from(i < capacity % shard_count))
@@ -198,7 +201,7 @@ impl ShardedCache {
         self.capacities.iter().any(|&c| c > 0)
     }
 
-    fn shard_for(&self, key: &str) -> (&Mutex<Shard>, usize) {
+    fn shard_for(&self, key: &str) -> (&Mutex<Shard<V>>, usize) {
         let mut hasher = DefaultHasher::new();
         key.hash(&mut hasher);
         let index = (hasher.finish() as usize) % self.shards.len();
@@ -206,7 +209,7 @@ impl ShardedCache {
     }
 
     /// Look up a canonical key, refreshing its recency on a hit.
-    pub fn get(&self, key: &str) -> Option<String> {
+    pub fn get(&self, key: &str) -> Option<V> {
         if !self.is_enabled() {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return None;
@@ -227,7 +230,7 @@ impl ShardedCache {
 
     /// Insert (or refresh) a result, evicting the shard's least-recently-
     /// used entry in O(1) if the shard is full.
-    pub fn insert(&self, key: String, value: String) {
+    pub fn insert(&self, key: String, value: V) {
         if !self.is_enabled() {
             return;
         }
@@ -280,7 +283,7 @@ mod tests {
 
     #[test]
     fn hit_after_insert_miss_before() {
-        let cache = ShardedCache::new(8, 2);
+        let cache = ShardedCache::<String>::new(8, 2);
         assert_eq!(cache.get("k"), None);
         cache.insert("k".into(), "v".into());
         assert_eq!(cache.get("k"), Some("v".into()));
@@ -290,7 +293,7 @@ mod tests {
 
     #[test]
     fn capacity_zero_disables_caching() {
-        let cache = ShardedCache::new(0, 4);
+        let cache = ShardedCache::<String>::new(0, 4);
         cache.insert("k".into(), "v".into());
         assert_eq!(cache.get("k"), None);
         assert!(cache.is_empty());
@@ -300,7 +303,7 @@ mod tests {
     #[test]
     fn lru_evicts_the_stalest_entry() {
         // Single shard so the eviction order is fully observable.
-        let cache = ShardedCache::new(2, 1);
+        let cache = ShardedCache::<String>::new(2, 1);
         cache.insert("a".into(), "1".into());
         cache.insert("b".into(), "2".into());
         assert_eq!(cache.get("a"), Some("1".into())); // refresh a
@@ -313,7 +316,7 @@ mod tests {
 
     #[test]
     fn reinserting_a_resident_key_updates_in_place() {
-        let cache = ShardedCache::new(1, 1);
+        let cache = ShardedCache::<String>::new(1, 1);
         cache.insert("k".into(), "old".into());
         cache.insert("k".into(), "new".into());
         assert_eq!(cache.get("k"), Some("new".into()));
@@ -322,7 +325,7 @@ mod tests {
 
     #[test]
     fn reinsert_refreshes_recency() {
-        let cache = ShardedCache::new(2, 1);
+        let cache = ShardedCache::<String>::new(2, 1);
         cache.insert("a".into(), "1".into());
         cache.insert("b".into(), "2".into());
         cache.insert("a".into(), "1'".into()); // refresh a by reinsert
@@ -333,7 +336,7 @@ mod tests {
 
     #[test]
     fn lru_order_is_observable_and_exact() {
-        let cache = ShardedCache::new(4, 1);
+        let cache = ShardedCache::<String>::new(4, 1);
         for k in ["a", "b", "c", "d"] {
             cache.insert(k.into(), "v".into());
         }
@@ -346,7 +349,7 @@ mod tests {
 
     #[test]
     fn eviction_reuses_slab_slots() {
-        let cache = ShardedCache::new(2, 1);
+        let cache = ShardedCache::<String>::new(2, 1);
         for i in 0..100 {
             cache.insert(format!("key-{i}"), i.to_string());
             assert!(cache.len() <= 2);
@@ -358,7 +361,7 @@ mod tests {
 
     #[test]
     fn shards_share_total_capacity() {
-        let cache = ShardedCache::new(64, 8);
+        let cache = ShardedCache::<String>::new(64, 8);
         for i in 0..64 {
             cache.insert(format!("key-{i}"), i.to_string());
         }
@@ -369,7 +372,7 @@ mod tests {
 
     #[test]
     fn concurrent_access_is_safe_and_counted() {
-        let cache = ShardedCache::new(128, 8);
+        let cache = ShardedCache::<String>::new(128, 8);
         crossbeam::scope(|s| {
             for t in 0..4 {
                 let cache = &cache;

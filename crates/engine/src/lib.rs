@@ -11,11 +11,13 @@
 //!    shifts, job order, and dead time, yielding a cache key under which
 //!    equivalent instances collide.
 //! 2. **Cache** ([`cache`]) — a sharded LRU maps canonical keys to
-//!    finished result lines; hits skip solving entirely.
+//!    typed answers ([`router::Answer`] plus the solver tag); hits skip
+//!    solving entirely.
 //! 3. **Route** ([`router`]) — misses go to a portfolio router that picks
 //!    a solver from the instance's shape (one- vs. multi-interval,
-//!    processor count, laxity, size, objective, α), with a configurable
-//!    fallback chain for instances no exact solver can take.
+//!    processor count, laxity, size, objective, α). A multi-interval
+//!    instance past the exact solver's caps gets a bounded interval
+//!    instead of an optimum.
 //! 4. **Execute** ([`pool`]) — a fixed worker pool built on the
 //!    `crossbeam` scope + bounded-channel stubs runs requests in
 //!    parallel and reassembles results in input order, so output is
@@ -61,7 +63,7 @@ pub use metrics::{
     RatioStats, SearchTotals,
 };
 pub use online::{OnlineSummary, OnlineTracker, SessionState};
-pub use router::{FallbackSolver, Features, RouterConfig, SolverKind};
+pub use router::{Answer, Features, RouterConfig, SolverKind};
 
 use gaps_core::instance::{Instance, MultiInstance};
 use gaps_workloads::serialize;
@@ -170,19 +172,17 @@ impl Default for EngineConfig {
 /// lifetime — which is exactly what a long-running service snapshots.
 pub struct Engine {
     config: EngineConfig,
-    cache: ShardedCache,
+    cache: ShardedCache<(Answer, SolverKind)>,
     metrics: MetricsRegistry,
 }
 
 /// A cache miss between [`Engine::lookup`] and [`Engine::solve_pending`]:
 /// the canonical form the router will solve (so a miss is canonicalized
-/// exactly once) plus what the result line and metrics still need.
-/// Owned and `Send`, so the solver half can run on another thread.
+/// exactly once) plus what the metrics still need. Owned and `Send`, so
+/// the solver half can run on another thread.
 #[derive(Debug)]
 pub struct Pending {
     form: canonical::CanonicalForm,
-    flavor: &'static str,
-    jobs: usize,
     objective: Objective,
     shed: bool,
     lookup_elapsed: std::time::Duration,
@@ -191,16 +191,19 @@ pub struct Pending {
 /// What the engine hands back for one request.
 #[derive(Clone, Debug)]
 pub struct RequestOutcome {
-    /// Result body: `<one|multi> n=<jobs> <payload> solver=<tag>` — the
+    /// Result body: `<one|multi> n=<jobs> <answer> solver=<tag>` — the
     /// batch result line minus its leading index, and the serve `RES`
     /// body after the request id, so the two surfaces are bit-identical
     /// by construction.
     pub body: String,
+    /// The answer the body renders.
+    pub answer: Answer,
     /// Which solver ran (`None` on a cache hit).
     pub solver: Option<SolverKind>,
     /// Answered from the result cache.
     pub cache_hit: bool,
-    /// Served by the degraded shed chain.
+    /// Solved with the degraded shed router ([`RouterConfig::shed`]);
+    /// never set on a cache hit, which serves the cached answer.
     pub shed: bool,
     /// Request wall clock.
     pub elapsed: std::time::Duration,
@@ -238,12 +241,13 @@ impl Engine {
     /// over the ordered pool; it is exactly [`Engine::lookup`] followed,
     /// on a miss, by [`Engine::solve_pending`].
     ///
-    /// With `shed` set the router runs a degraded config
+    /// With `shed` set a miss is solved with a degraded config
     /// ([`RouterConfig::shed`]) and the result is **not** cached: a shed
-    /// answer may be approximate where the normal route is exact, and
+    /// answer may be an interval where the normal route is exact, and
     /// caching it would poison later full-service requests for the same
     /// canonical key. Cache *reads* still happen — an exact answer that
-    /// is already paid for is the cheapest possible response.
+    /// is already paid for is the cheapest possible response, and is
+    /// not counted as shed.
     pub fn solve_request(
         &self,
         inst: &BatchInstance,
@@ -269,25 +273,22 @@ impl Engine {
         shed: bool,
     ) -> Result<RequestOutcome, Pending> {
         let request_start = Instant::now();
-        let flavor = inst.kind_label();
-        let jobs = inst.job_count();
         let form = canonical::canonicalize(inst, objective);
         match self.cache.get(&form.key) {
-            Some(payload) => {
+            Some((answer, kind)) => {
                 let elapsed = request_start.elapsed();
-                self.metrics.record_request(None, true, shed, elapsed);
+                self.metrics.record_request(None, true, false, elapsed);
                 Ok(RequestOutcome {
-                    body: format!("{flavor} n={jobs} {payload}"),
+                    body: render(&form.instance, answer, kind),
+                    answer,
                     solver: None,
                     cache_hit: true,
-                    shed,
+                    shed: false,
                     elapsed,
                 })
             }
             None => Err(Pending {
                 form,
-                flavor,
-                jobs,
                 objective,
                 shed,
                 lookup_elapsed: request_start.elapsed(),
@@ -304,8 +305,6 @@ impl Engine {
         let solve_start = Instant::now();
         let Pending {
             form,
-            flavor,
-            jobs,
             objective,
             shed,
             lookup_elapsed,
@@ -317,18 +316,17 @@ impl Engine {
         } else {
             &self.config.router
         };
-        let (kind, body) =
+        let (kind, answer) =
             router::solve_observed(&form.instance, objective, router, Some(&self.metrics));
-        let payload = format!("{body} solver={}", kind.name());
-        let body = format!("{flavor} n={jobs} {payload}");
         if !shed {
-            self.cache.insert(form.key, payload);
+            self.cache.insert(form.key, (answer, kind));
         }
         let elapsed = lookup_elapsed + solve_start.elapsed();
         self.metrics
             .record_request(Some(kind.name()), false, shed, elapsed);
         RequestOutcome {
-            body,
+            body: render(&form.instance, answer, kind),
+            answer,
             solver: Some(kind),
             cache_hit: false,
             shed,
@@ -340,9 +338,9 @@ impl Engine {
     /// order, independent of thread count — plus the batch report.
     ///
     /// Line format:
-    /// `<index> <one|multi> n=<jobs> <payload> solver=<tag>` where the
-    /// payload is `gaps=2` (exact), `power<=9.50` (upper bound),
-    /// `gaps>=1` (lower bound), or `infeasible`.
+    /// `<index> <one|multi> n=<jobs> <answer> solver=<tag>` where the
+    /// answer is `gaps=2` (the optimum), `gaps=[3,5]` (the optimum lies
+    /// between a lower bound and a schedule's value), or `infeasible`.
     pub fn run_batch(
         &self,
         instances: &[BatchInstance],
@@ -394,12 +392,20 @@ impl Engine {
 
     /// [`Engine::run_batch`] over a concatenated-instance text stream
     /// (see [`split_stream`]); returns the newline-joined result block.
+    ///
+    /// The text is untrusted: an instance too large for the DP it routes
+    /// to ([`router::check_dp_limits`]) fails the whole call, naming the
+    /// instance by its result-line index.
     pub fn run_batch_text(
         &self,
         text: &str,
         objective: Objective,
     ) -> Result<(String, EngineReport), String> {
         let instances = split_stream(text)?;
+        for (index, inst) in instances.iter().enumerate() {
+            router::check_dp_limits(inst, objective)
+                .map_err(|e| format!("instance {index}: {e}"))?;
+        }
         let (lines, report) = self.run_batch(&instances, objective);
         let mut out = lines.join("\n");
         if !out.is_empty() {
@@ -407,6 +413,13 @@ impl Engine {
         }
         Ok((out, report))
     }
+}
+
+/// The result body `<one|multi> n=<jobs> <answer> solver=<tag>`; the
+/// canonical instance keeps the original's flavor and job count.
+fn render(inst: &BatchInstance, answer: Answer, kind: SolverKind) -> String {
+    let (flavor, jobs) = (inst.kind_label(), inst.job_count());
+    format!("{flavor} n={jobs} {answer} solver={}", kind.name())
 }
 
 /// Split a text stream of concatenated instances (each starting with an
@@ -636,17 +649,13 @@ mod tests {
     fn shed_requests_degrade_and_skip_the_cache_write() {
         let mut rng = StdRng::seed_from_u64(9);
         // Small multi-interval instance: normal routing is exact
-        // (multi_exact); under shed it must take the fallback chain.
+        // (multi_exact); under shed it must take the interval arm.
         let inst = BatchInstance::Multi(multi_interval::feasible_slots(&mut rng, 5, 9, 2));
         let engine = Engine::new(EngineConfig::default());
         let shed = engine.solve_request(&inst, Objective::Gaps, true);
         assert!(shed.shed);
         assert!(!shed.cache_hit);
-        let solver = shed.solver.expect("shed requests still solve");
-        assert!(
-            matches!(solver, SolverKind::Lemma3Greedy | SolverKind::LowerBound),
-            "shed routed to {solver:?}"
-        );
+        assert_eq!(shed.solver, Some(SolverKind::Lemma3Greedy));
         // The shed (possibly inexact) answer must not have been cached:
         // the same request at full service misses and solves exactly.
         let full = engine.solve_request(&inst, Objective::Gaps, false);
@@ -654,9 +663,12 @@ mod tests {
         assert_eq!(full.solver, Some(SolverKind::MultiExact));
         // …and the exact answer IS cached, and served even to shed
         // requests (cache reads stay enabled under shed).
+        // A hit serves the exact answer, so it is not counted as shed.
         let warm = engine.solve_request(&inst, Objective::Gaps, true);
         assert!(warm.cache_hit);
+        assert!(!warm.shed);
         assert_eq!(warm.body, full.body);
+        assert_eq!(engine.metrics().snapshot().shed, 1);
     }
 
     #[test]

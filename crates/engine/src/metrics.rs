@@ -403,8 +403,8 @@ impl MetricsRegistry {
     }
 
     /// Record one completed request: which solver ran (`None` on a cache
-    /// hit), whether the cache answered, whether the shed chain served
-    /// it, and the measured latency.
+    /// hit), whether the cache answered, whether the shed router solved
+    /// it (never true for a hit), and the measured latency.
     pub fn record_request(
         &self,
         solver: Option<&'static str>,
@@ -525,7 +525,8 @@ pub struct MetricsSnapshot {
     pub cache_hits: u64,
     /// Requests that went to a solver.
     pub cache_misses: u64,
-    /// Requests served by the degraded (shed) chain.
+    /// Requests solved by the degraded (shed) router; cache hits never
+    /// count.
     pub shed: u64,
     /// Admissions refused with `BUSY`.
     pub rejected: u64,

@@ -20,7 +20,7 @@
 //! `forced_chain` path and the power objective returns the exact
 //! `active slots + α per wake-up` optimum at any stream length.
 
-use crate::{BatchInstance, Engine, Objective};
+use crate::{Answer, BatchInstance, Engine, Objective};
 use gaps_core::{Instance, Time};
 use gaps_sim::policy::OnlineRun;
 use gaps_sim::{NeverSleep, PowerPolicy, SleepImmediately, Timeout};
@@ -201,17 +201,16 @@ impl OnlineTracker {
             .map_err(|e| format!("revealed instance is malformed: {e:?}"))?;
         let objective = Objective::Power { alpha: self.alpha };
         let outcome = engine.solve_request(&BatchInstance::One(inst), objective, false);
-        let offline_cost = outcome
-            .body
-            .split_whitespace()
-            .find_map(|tok| tok.strip_prefix("power="))
-            .and_then(|v| v.parse::<u64>().ok())
-            .ok_or_else(|| {
-                format!(
-                    "offline solve returned no power value for the revealed instance: {}",
-                    outcome.body
-                )
-            })?;
+        let Answer::Exact {
+            value: offline_cost,
+            ..
+        } = outcome.answer
+        else {
+            return Err(format!(
+                "offline solve returned no power optimum for the revealed instance: {}",
+                outcome.body
+            ));
+        };
         let summary = OnlineSummary {
             policy: self.run.policy_name(),
             alpha: self.alpha,

@@ -10,8 +10,10 @@
 //! minimum-energy scheduling (arXiv:2307.00949) both key their algorithm
 //! choice on instance shape (unit vs. arbitrary jobs, laxity, processor
 //! count). The router reads those features off the canonical instance and
-//! dispatches; instances no exact solver can handle flow down a
-//! configurable **fallback chain** of approximate/bounding solvers.
+//! dispatches. A multi-interval instance past the exact solver's caps is
+//! NP-hard territory: it gets one **interval** answer, a polynomial lower
+//! bound paired with the value of a schedule (Theorem 3 under power,
+//! Lemma 3's completion otherwise), which is exact when the two meet.
 //!
 //! Routing is a pure function of the canonical form, so a cached result
 //! and a freshly routed one can never disagree on the solver tag.
@@ -20,8 +22,9 @@ use crate::{BatchInstance, Objective};
 use gaps_core::instance::Instance;
 use gaps_core::time::run_count;
 use gaps_core::{
-    baptiste, lower_bounds, multi_exact, multi_interval, multiproc_dp, power, power_dp,
+    baptiste, compress, lower_bounds, multi_exact, multi_interval, multiproc_dp, power, power_dp,
 };
+use std::fmt;
 
 /// Every solver the portfolio can dispatch to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -40,14 +43,12 @@ pub enum SolverKind {
     /// Multi-interval exact solver (branch-and-bound with memoization;
     /// see [`gaps_core::multi_exact`]).
     MultiExact,
-    /// Theorem 3 `(1 + (2/3 + ε)α)`-approximation (multi-interval power).
+    /// Theorem 3 `(1 + (2/3 + ε)α)`-approximation: the upper end of a
+    /// large multi-interval instance's power interval.
     Theorem3Approx,
-    /// Lemma 3 completion: any feasible schedule, ≤ 1 gap per job — an
-    /// upper bound for large multi-interval instances.
+    /// Lemma 3 completion (any feasible schedule, ≤ 1 gap per job): the
+    /// upper end of a large multi-interval instance's gap/span interval.
     Lemma3Greedy,
-    /// Report the objective's lower bound only (last-resort fallback;
-    /// does not certify feasibility).
-    LowerBound,
 }
 
 impl SolverKind {
@@ -62,47 +63,68 @@ impl SolverKind {
             SolverKind::MultiExact => "multi_exact",
             SolverKind::Theorem3Approx => "theorem3_approx",
             SolverKind::Lemma3Greedy => "lemma3_greedy",
-            SolverKind::LowerBound => "lower_bound",
         }
     }
 }
 
-/// Solvers eligible for the large-multi-interval fallback chain.
+/// A solved request's result, kept typed until the output edge renders
+/// it as one whitespace-free token: `gaps=2`, `gaps=[3,5]` or
+/// `infeasible`. `label` names the objective (`gaps`, `spans`, `power`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FallbackSolver {
-    /// Theorem 3 approximation — applicable to the power objective only.
-    Theorem3Approx,
-    /// Lemma 3 feasible completion — applicable to every objective.
-    Lemma3Greedy,
-    /// Objective lower bound — applicable to every objective.
-    LowerBound,
+pub enum Answer {
+    /// The proven optimum.
+    Exact { label: &'static str, value: u64 },
+    /// The optimum lies in `lower..=upper` (`lower < upper`): a
+    /// polynomial lower bound and the value of a schedule.
+    Within {
+        label: &'static str,
+        lower: u64,
+        upper: u64,
+    },
+    /// No feasible schedule exists.
+    Infeasible,
 }
 
-impl FallbackSolver {
-    /// Parse a CLI-facing fallback name.
-    pub fn parse(name: &str) -> Result<FallbackSolver, String> {
-        match name {
-            "approx" | "theorem3" => Ok(FallbackSolver::Theorem3Approx),
-            "greedy" | "lemma3" => Ok(FallbackSolver::Lemma3Greedy),
-            "bound" | "lower-bound" => Ok(FallbackSolver::LowerBound),
-            other => Err(format!(
-                "unknown fallback solver {other:?} (expected approx|greedy|bound)"
-            )),
+impl Answer {
+    /// The optimum, or `Infeasible` when the solver found no schedule.
+    fn exact(objective: Objective, value: Option<u64>) -> Answer {
+        match value {
+            Some(value) => Answer::Exact {
+                label: objective.label(),
+                value,
+            },
+            None => Answer::Infeasible,
         }
     }
 
-    fn applies_to(self, objective: Objective) -> bool {
-        match self {
-            FallbackSolver::Theorem3Approx => matches!(objective, Objective::Power { .. }),
-            FallbackSolver::Lemma3Greedy | FallbackSolver::LowerBound => true,
+    /// The interval `lower..=upper`, collapsed to `Exact` when the
+    /// bounds meet.
+    fn within(objective: Objective, lower: u64, upper: u64) -> Answer {
+        debug_assert!(
+            lower <= upper,
+            "lower bound {lower} above a schedule's {upper}"
+        );
+        if lower == upper {
+            return Answer::exact(objective, Some(upper));
+        }
+        Answer::Within {
+            label: objective.label(),
+            lower,
+            upper,
         }
     }
+}
 
-    fn kind(self) -> SolverKind {
-        match self {
-            FallbackSolver::Theorem3Approx => SolverKind::Theorem3Approx,
-            FallbackSolver::Lemma3Greedy => SolverKind::Lemma3Greedy,
-            FallbackSolver::LowerBound => SolverKind::LowerBound,
+impl fmt::Display for Answer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Answer::Exact { label, value } => write!(f, "{label}={value}"),
+            Answer::Within {
+                label,
+                lower,
+                upper,
+            } => write!(f, "{label}=[{lower},{upper}]"),
+            Answer::Infeasible => f.write_str("infeasible"),
         }
     }
 }
@@ -111,8 +133,8 @@ impl FallbackSolver {
 const APPROX_ROUNDS: usize = 64;
 
 /// Router knobs: how large a multi-interval instance the exact solver
-/// takes and what to do past its caps. Every exact solve runs on the
-/// calling thread; `--threads` parallelizes across instances only.
+/// takes. Every exact solve runs on the calling thread; `--threads`
+/// parallelizes across instances only.
 #[derive(Clone, Debug)]
 pub struct RouterConfig {
     /// The exact solver's state space is exponential in the *job* count,
@@ -120,15 +142,11 @@ pub struct RouterConfig {
     /// largest coupled core pays that cost — so it accepts many slots…
     pub multi_exact_max_slots: usize,
     /// …but at most this many jobs (64 is the solver's hard mask-width
-    /// cap; 0 sends every multi-interval instance to the fallback chain).
+    /// cap; 0 sends every multi-interval instance to the interval
+    /// answer).
     pub multi_exact_max_jobs: usize,
     /// Unread by the engine; kept only because `perfbench/` still sets it.
     pub multi_exact_threads: usize,
-    /// Tried in order for multi-interval instances past the exact
-    /// solver's caps; the first chain entry applicable to the objective
-    /// wins. An empty or inapplicable chain degrades to
-    /// [`FallbackSolver::LowerBound`].
-    pub fallback: Vec<FallbackSolver>,
 }
 
 impl Default for RouterConfig {
@@ -137,7 +155,6 @@ impl Default for RouterConfig {
             multi_exact_max_slots: 384,
             multi_exact_max_jobs: 64,
             multi_exact_threads: 0,
-            fallback: vec![FallbackSolver::Theorem3Approx, FallbackSolver::Lemma3Greedy],
         }
     }
 }
@@ -145,9 +162,9 @@ impl Default for RouterConfig {
 impl RouterConfig {
     /// Degraded copy used under overload shedding: the exponential
     /// multi-interval exact solver is switched off, so every
-    /// multi-interval instance flows straight down the (polynomial)
-    /// fallback chain. One-interval routing is untouched — the DPs are
-    /// polynomial and not worth shedding.
+    /// multi-interval instance gets the (polynomial) interval answer.
+    /// One-interval routing is untouched — the DPs are polynomial and
+    /// not worth shedding.
     pub fn shed(&self) -> RouterConfig {
         RouterConfig {
             multi_exact_max_jobs: 0,
@@ -218,17 +235,53 @@ pub fn route(feat: &Features, objective: Objective, cfg: &RouterConfig) -> Solve
     if feat.slots <= cfg.multi_exact_max_slots && feat.jobs <= cfg.multi_exact_max_jobs {
         return SolverKind::MultiExact;
     }
-    cfg.fallback
-        .iter()
-        .find(|f| f.applies_to(objective))
-        .map(|f| f.kind())
-        .unwrap_or(SolverKind::LowerBound)
+    match objective {
+        Objective::Power { .. } => SolverKind::Theorem3Approx,
+        Objective::Gaps | Objective::Spans => SolverKind::Lemma3Greedy,
+    }
+}
+
+/// Refuse a one-interval instance too large for the DP it routes to.
+/// The compressed horizon comes from the merged windows, so untrusted
+/// input is checked before canonicalization materializes a slot. A
+/// forced chain has no limit.
+pub fn check_dp_limits(inst: &BatchInstance, objective: Objective) -> Result<(), String> {
+    let BatchInstance::One(one) = inst else {
+        return Ok(());
+    };
+    let feat = features(inst);
+    let kind = route(&feat, objective, &RouterConfig::default());
+    let (max_timeline, max_jobs) = match kind {
+        SolverKind::BaptisteDp => (baptiste::MAX_TIMELINE, usize::MAX),
+        SolverKind::MultiprocDp => (multiproc_dp::MAX_TIMELINE, multiproc_dp::MAX_JOBS),
+        SolverKind::PowerDp => (power_dp::MAX_TIMELINE, power_dp::MAX_JOBS),
+        _ => return Ok(()),
+    };
+    let alpha = match objective {
+        Objective::Power { alpha } => Some(alpha),
+        Objective::Gaps | Objective::Spans => None,
+    };
+    // The DP pads the horizon with a sentinel slot at each end.
+    // Compression never widens the raw horizon (`feat.slots`), so only
+    // an instance whose raw horizon is too wide gets measured.
+    let fits = |horizon: u64| horizon.saturating_add(2) <= max_timeline as u64;
+    if feat.jobs <= max_jobs
+        && (fits(feat.slots as u64) || fits(compress::compressed_len(one, alpha)))
+    {
+        return Ok(());
+    }
+    Err(format!(
+        "{} jobs over a {}-slot compressed horizon exceed what {} takes",
+        feat.jobs,
+        compress::compressed_len(one, alpha),
+        kind.name()
+    ))
 }
 
 /// Route and solve a **canonical** instance, returning the chosen solver
-/// and the result payload (e.g. `gaps=2`, `power<=9.50`, `infeasible`).
+/// and its [`Answer`].
 ///
-/// The payload is a pure function of `(instance, objective, cfg)` — no
+/// The answer is a pure function of `(instance, objective, cfg)` — no
 /// randomness, clocks, or thread-dependence (every solve runs on the
 /// calling thread) — which is what makes both the result cache and the
 /// deterministic batch output sound.
@@ -236,31 +289,33 @@ pub fn solve(
     inst: &BatchInstance,
     objective: Objective,
     cfg: &RouterConfig,
-) -> (SolverKind, String) {
+) -> (SolverKind, Answer) {
     solve_observed(inst, objective, cfg, None)
 }
 
 /// [`solve`] with search-effort observation: multi-exact solves report
 /// their [`gaps_core::multi_exact::SearchStats`] (nodes expanded,
-/// component histogram) into the registry. The payload is unaffected —
+/// component histogram) into the registry. The answer is unaffected —
 /// observation never alters routing or results.
 pub fn solve_observed(
     inst: &BatchInstance,
     objective: Objective,
     cfg: &RouterConfig,
     observer: Option<&crate::metrics::MetricsRegistry>,
-) -> (SolverKind, String) {
+) -> (SolverKind, Answer) {
     let kind = route(&features(inst), objective, cfg);
-    let payload = match (kind, inst) {
-        (SolverKind::Trivial, _) => exact(objective.label(), Some(0)),
-        (SolverKind::ForcedChain, BatchInstance::One(one)) => forced_chain(one, objective),
+    let answer = match (kind, inst) {
+        (SolverKind::Trivial, _) => Answer::exact(objective, Some(0)),
+        (SolverKind::ForcedChain, BatchInstance::One(one)) => {
+            Answer::exact(objective, forced_chain(one, objective))
+        }
         (SolverKind::BaptisteDp, BatchInstance::One(one)) => {
             let value = match objective {
                 Objective::Gaps => baptiste::min_gaps_value(one),
                 Objective::Spans => baptiste::min_spans_value(one),
                 Objective::Power { alpha } => baptiste::min_power_value(one, alpha),
             };
-            exact(objective.label(), value)
+            Answer::exact(objective, value)
         }
         (SolverKind::MultiprocDp, BatchInstance::One(one)) => {
             let value = match objective {
@@ -268,13 +323,13 @@ pub fn solve_observed(
                 Objective::Spans => multiproc_dp::min_span_value(one),
                 Objective::Power { .. } => unreachable!("power routes to PowerDp"),
             };
-            exact(objective.label(), value)
+            Answer::exact(objective, value)
         }
         (SolverKind::PowerDp, BatchInstance::One(one)) => {
             let Objective::Power { alpha } = objective else {
                 unreachable!("PowerDp only routes for the power objective")
             };
-            exact(objective.label(), power_dp::min_power_value(one, alpha))
+            Answer::exact(objective, power_dp::min_power_value(one, alpha))
         }
         (SolverKind::MultiExact, BatchInstance::Multi(multi)) => {
             let multi_objective = match objective {
@@ -286,64 +341,54 @@ pub fn solve_observed(
             if let Some(metrics) = observer {
                 metrics.record_search(&stats);
             }
-            exact(objective.label(), result.map(|(v, _)| v))
+            Answer::exact(objective, result.map(|(v, _)| v))
         }
         (SolverKind::Theorem3Approx, BatchInstance::Multi(multi)) => {
             let Objective::Power { alpha } = objective else {
                 unreachable!("Theorem3Approx only routes for the power objective")
             };
-            match multi_interval::approx_min_power(multi, alpha as f64, APPROX_ROUNDS) {
-                Some(res) => format!("power<={:.2}", res.power),
-                None => "infeasible".to_string(),
-            }
+            let Some(res) = multi_interval::approx_min_power(multi, alpha as f64, APPROX_ROUNDS)
+            else {
+                return (kind, Answer::Infeasible);
+            };
+            let lower = lower_bounds::polynomial_power_lower_bound(multi, alpha);
+            let upper = power::power_cost_single(&res.schedule, alpha);
+            Answer::within(objective, lower, upper)
         }
         (SolverKind::Lemma3Greedy, BatchInstance::Multi(multi)) => {
-            match multi_interval::complete_schedule(multi, &vec![None; multi.job_count()]) {
-                Some(sched) => match objective {
-                    Objective::Gaps => format!("gaps<={}", sched.gap_count()),
-                    Objective::Spans => format!("spans<={}", sched.span_count()),
-                    Objective::Power { alpha } => {
-                        format!("power<={}", power::power_cost_single(&sched, alpha))
-                    }
-                },
-                None => "infeasible".to_string(),
-            }
-        }
-        (SolverKind::LowerBound, BatchInstance::Multi(multi)) => {
-            let bound = match objective {
-                Objective::Gaps => lower_bounds::min_gaps_lower_bound(multi),
-                Objective::Spans => lower_bounds::min_spans_lower_bound(multi),
-                Objective::Power { alpha } => lower_bounds::min_power_lower_bound(multi, alpha),
+            let Some(sched) =
+                multi_interval::complete_schedule(multi, &vec![None; multi.job_count()])
+            else {
+                return (kind, Answer::Infeasible);
             };
-            format!("{}>={bound}", objective.label())
+            let spans = lower_bounds::polynomial_spans_lower_bound(multi);
+            match objective {
+                Objective::Gaps => {
+                    Answer::within(objective, spans.saturating_sub(1), sched.gap_count())
+                }
+                Objective::Spans => Answer::within(objective, spans, sched.span_count()),
+                Objective::Power { .. } => unreachable!("power routes to Theorem3Approx"),
+            }
         }
         (kind, _) => unreachable!("router dispatched {kind:?} to the wrong instance flavor"),
     };
-    (kind, payload)
-}
-
-fn exact(label: &str, value: Option<u64>) -> String {
-    match value {
-        Some(v) => format!("{label}={v}"),
-        None => "infeasible".to_string(),
-    }
+    (kind, answer)
 }
 
 /// Zero-laxity single-processor fast path: every job's slot is forced, so
 /// feasibility is just "no duplicate releases" and the objective falls
 /// out of the run structure of the release times.
-fn forced_chain(inst: &Instance, objective: Objective) -> String {
+fn forced_chain(inst: &Instance, objective: Objective) -> Option<u64> {
     let mut times: Vec<_> = inst.jobs().iter().map(|j| j.release).collect();
     times.sort_unstable();
     if times.windows(2).any(|w| w[0] == w[1]) {
-        return "infeasible".to_string();
+        return None;
     }
-    let value = match objective {
+    Some(match objective {
         Objective::Gaps => (run_count(&times) as u64).saturating_sub(1),
         Objective::Spans => run_count(&times) as u64,
         Objective::Power { alpha } => power::processor_power(&times, alpha),
-    };
-    format!("{}={value}", objective.label())
+    })
 }
 
 #[cfg(test)]
@@ -390,15 +435,6 @@ mod tests {
         let big: Vec<Vec<i64>> = (0..80).map(|i| vec![2 * i, 2 * i + 1]).collect();
         assert_eq!(pick(&multi(&big), power), SolverKind::Theorem3Approx);
         assert_eq!(pick(&multi(&big), gaps), SolverKind::Lemma3Greedy);
-
-        let no_fallback = RouterConfig {
-            fallback: vec![],
-            ..RouterConfig::default()
-        };
-        assert_eq!(
-            route(&features(&multi(&big)), gaps, &no_fallback),
-            SolverKind::LowerBound
-        );
     }
 
     #[test]
@@ -415,16 +451,20 @@ mod tests {
             route(&features(&at_cap), Objective::Gaps, &cfg),
             SolverKind::MultiExact
         );
-        // One past either cap falls to the fallback chain.
-        let too_many_jobs: Vec<Vec<i64>> = (0..65).map(|i| vec![2 * i]).collect();
-        assert_eq!(
-            route(&features(&multi(&too_many_jobs)), Objective::Gaps, &cfg),
-            SolverKind::Lemma3Greedy
-        );
+        // One past either cap gets the interval answer. 65 one-slot
+        // jobs pin every span, so the capacity bound meets the schedule
+        // and the interval collapses to the optimum.
+        let too_many_jobs = multi(&(0..65).map(|i| vec![2 * i]).collect::<Vec<_>>());
+        let (kind, answer) = solve(&too_many_jobs, Objective::Gaps, &cfg);
+        assert_eq!(kind, SolverKind::Lemma3Greedy);
+        assert_eq!(answer.to_string(), "gaps=64");
+        let (kind, answer) = solve(&too_many_jobs, Objective::Power { alpha: 3 }, &cfg);
+        assert_eq!(kind, SolverKind::Theorem3Approx);
+        assert_eq!(answer.to_string(), "power=132");
     }
 
     #[test]
-    fn shed_sends_multi_to_the_fallback_chain_only() {
+    fn shed_sends_multi_to_the_interval_only() {
         let cfg = RouterConfig::default();
         let shed = cfg.shed();
         let pick = |inst: &BatchInstance, obj, cfg: &RouterConfig| route(&features(inst), obj, cfg);
@@ -432,8 +472,11 @@ mod tests {
         let tiny = multi(&[vec![3, 4]]);
         assert_eq!(pick(&tiny, Objective::Gaps, &cfg), SolverKind::MultiExact);
         assert_eq!(
-            pick(&tiny, Objective::Gaps, &shed),
-            SolverKind::Lemma3Greedy
+            solve(&tiny, Objective::Gaps, &shed),
+            (
+                SolverKind::Lemma3Greedy,
+                Answer::exact(Objective::Gaps, Some(0))
+            )
         );
         let power = Objective::Power { alpha: 2 };
         assert_eq!(pick(&tiny, power, &shed), SolverKind::Theorem3Approx);
@@ -459,18 +502,18 @@ mod tests {
             unreachable!()
         };
         let expected = multiproc_dp::min_gap_value(raw).unwrap();
-        assert_eq!(payload, format!("gaps={expected}"));
+        assert_eq!(payload.to_string(), format!("gaps={expected}"));
 
         let (_, power_payload) = solve(&inst, Objective::Power { alpha: 3 }, &cfg);
         let expected = power_dp::min_power_value(raw, 3).unwrap();
-        assert_eq!(power_payload, format!("power={expected}"));
+        assert_eq!(power_payload.to_string(), format!("power={expected}"));
     }
 
     #[test]
     fn forced_chain_detects_collisions() {
         let inst = one(&[(4, 4), (4, 4)], 1);
         let (_, payload) = solve(&inst, Objective::Gaps, &RouterConfig::default());
-        assert_eq!(payload, "infeasible");
+        assert_eq!(payload, Answer::Infeasible);
     }
 
     #[test]
@@ -479,21 +522,21 @@ mod tests {
         let single = one(&[(0, 2), (0, 2), (5, 7)], 1);
         let (kind, payload) = solve(&single, Objective::Gaps, &cfg);
         assert_eq!(kind, SolverKind::BaptisteDp);
-        assert_eq!(payload, "gaps=1");
+        assert_eq!(payload.to_string(), "gaps=1");
 
         let dual = one(&[(0, 1), (0, 1), (0, 1)], 2);
         let (kind, payload) = solve(&dual, Objective::Spans, &cfg);
         assert_eq!(kind, SolverKind::MultiprocDp);
-        assert_eq!(payload, "spans=2");
+        assert_eq!(payload.to_string(), "spans=2");
     }
 
     #[test]
-    fn multi_exact_and_fallbacks_cover_multi() {
+    fn multi_exact_and_intervals_cover_multi() {
         let cfg = RouterConfig::default();
         let small = multi(&[vec![0, 1], vec![0, 1]]);
         let (kind, payload) = solve(&small, Objective::Gaps, &cfg);
         assert_eq!(kind, SolverKind::MultiExact);
-        assert_eq!(payload, "gaps=0");
+        assert_eq!(payload.to_string(), "gaps=0");
 
         // The exhaustive oracle agrees — the bit-identical-optimum
         // contract in miniature.
@@ -501,17 +544,31 @@ mod tests {
             unreachable!()
         };
         let oracle = brute_force::min_gaps_multi(raw).map(|(v, _)| v);
-        assert_eq!(payload, exact("gaps", oracle));
+        assert_eq!(payload, Answer::exact(Objective::Gaps, oracle));
 
+        // 80 jobs on one 160-slot run: the capacity bound says one span,
+        // the schedules need more, so both objectives answer an interval
+        // whose lower end is the bound.
         let big: Vec<Vec<i64>> = (0..80).map(|i| vec![2 * i, 2 * i + 1]).collect();
         let big = multi(&big);
         let (kind, payload) = solve(&big, Objective::Power { alpha: 2 }, &cfg);
         assert_eq!(kind, SolverKind::Theorem3Approx);
-        assert!(payload.starts_with("power<="), "payload = {payload}");
+        let Answer::Within {
+            label: "power",
+            lower: 82,
+            upper,
+        } = payload
+        else {
+            panic!("payload = {payload:?}");
+        };
+        assert_eq!(payload.to_string(), format!("power=[82,{upper}]"));
 
         let (kind, payload) = solve(&big, Objective::Gaps, &cfg);
         assert_eq!(kind, SolverKind::Lemma3Greedy);
-        assert!(payload.starts_with("gaps<="), "payload = {payload}");
+        assert!(
+            matches!(payload, Answer::Within { label: "gaps", lower: 0, upper } if upper > 0),
+            "payload = {payload:?}"
+        );
     }
 
     #[test]
@@ -530,7 +587,7 @@ mod tests {
                 unreachable!()
             };
             let (seq, stats) = multi_exact::solve_multi_stats(m, multi_exact::MultiObjective::Gaps);
-            assert_eq!(payload, exact("gaps", seq.map(|(v, _)| v)));
+            assert_eq!(payload, Answer::exact(Objective::Gaps, seq.map(|(v, _)| v)));
             assert_eq!(metrics.search_totals().nodes_expanded, stats.nodes_expanded);
             stats.nodes_expanded
         };
@@ -553,28 +610,25 @@ mod tests {
         // Two jobs forced into one slot.
         let clash = multi(&[vec![3], vec![3]]);
         let (_, payload) = solve(&clash, Objective::Gaps, &cfg);
-        assert_eq!(payload, "infeasible");
+        assert_eq!(payload, Answer::Infeasible);
+        // …and past the caps, where the interval arm must say so too.
+        let (_, payload) = solve(&clash, Objective::Power { alpha: 2 }, &cfg.shed());
+        assert_eq!(payload, Answer::Infeasible);
         // One-interval: three unit-window jobs on one processor, same slot.
         let overfull = one(&[(1, 1), (1, 1), (1, 1)], 1);
         let (_, payload) = solve(&overfull, Objective::Spans, &cfg);
-        assert_eq!(payload, "infeasible");
+        assert_eq!(payload, Answer::Infeasible);
     }
 
     #[test]
-    fn fallback_parsing_round_trips() {
-        assert_eq!(
-            FallbackSolver::parse("approx").unwrap(),
-            FallbackSolver::Theorem3Approx
-        );
-        assert_eq!(
-            FallbackSolver::parse("greedy").unwrap(),
-            FallbackSolver::Lemma3Greedy
-        );
-        assert_eq!(
-            FallbackSolver::parse("bound").unwrap(),
-            FallbackSolver::LowerBound
-        );
-        assert!(FallbackSolver::parse("magic").is_err());
+    fn interval_answers_render_as_one_token() {
+        let gaps = Objective::Gaps;
+        let power = Objective::Power { alpha: 4 };
+        assert_eq!(Answer::exact(gaps, Some(2)).to_string(), "gaps=2");
+        assert_eq!(Answer::exact(power, None).to_string(), "infeasible");
+        assert_eq!(Answer::within(power, 9, 12).to_string(), "power=[9,12]");
+        // Meeting bounds prove the optimum.
+        assert_eq!(Answer::within(gaps, 3, 3), Answer::exact(gaps, Some(3)));
     }
 
     #[test]

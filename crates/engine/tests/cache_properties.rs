@@ -56,7 +56,7 @@ proptest! {
     /// result, on residency, and on the full eviction order.
     #[test]
     fn single_shard_matches_model_lru(capacity in 1usize..6, ops in arb_ops(60)) {
-        let cache = ShardedCache::new(capacity, 1);
+        let cache = ShardedCache::<String>::new(capacity, 1);
         let mut model = ModelLru::new(capacity);
         for (is_insert, k, v) in ops {
             let key = format!("k{k}");
@@ -85,7 +85,7 @@ proptest! {
         shards in 1usize..9,
         keys in proptest::collection::vec(0u16..500, 1..=50),
     ) {
-        let cache = ShardedCache::new(capacity, shards);
+        let cache = ShardedCache::<String>::new(capacity, shards);
         let mut distinct = Vec::new();
         for k in keys {
             let key = format!("key-{k}");
@@ -119,7 +119,7 @@ proptest! {
     /// The hottest key of a skewed stream is never the one evicted.
     #[test]
     fn hot_key_survives_skewed_stream(cold_keys in proptest::collection::vec(0u16..300, 1..=80)) {
-        let cache = ShardedCache::new(4, 1);
+        let cache = ShardedCache::<String>::new(4, 1);
         cache.insert("hot".into(), "h".into());
         for k in cold_keys {
             prop_assert_eq!(cache.get("hot"), Some("h".into()), "hot key evicted");

@@ -35,9 +35,9 @@
 //! * **Overload shedding** — an instance whose job count exceeds
 //!   [`ServeConfig::shed_jobs`], or any instance arriving while the
 //!   queue is at least [`ServeConfig::shed_depth`] deep, is solved with
-//!   the degraded router ([`gaps_engine::RouterConfig::shed`]): the
-//!   approximate chain answers in polynomial time and the result is
-//!   not cached.
+//!   the degraded router ([`gaps_engine::RouterConfig::shed`]): a
+//!   multi-interval instance gets its bounded interval in polynomial
+//!   time, and the result is not cached.
 //! * **Graceful drain** — SIGTERM, SIGINT, or a `DRAIN` frame stops
 //!   accepting, finishes every queued and in-flight request (their
 //!   `RES` lines are flushed), closes connections, and returns the

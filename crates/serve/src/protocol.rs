@@ -59,8 +59,9 @@
 //!
 //! Responses to different requests may interleave in any order; the id
 //! is the only correlation. Malformed input of any shape — truncated
-//! lines, oversized frames, invalid UTF-8, unknown verbs — is answered
-//! with `ERR`, never by dropping the connection or the process.
+//! lines, oversized frames, invalid UTF-8, unknown verbs, an instance
+//! too large for the DP it routes to — is answered with `ERR`, never by
+//! dropping the connection or the process.
 
 use std::io::BufRead;
 

@@ -22,7 +22,7 @@
 use crate::protocol::{self, Frame, FrameError, SessionCmd};
 use crate::Shared;
 use gaps_engine::pool::SubmitError;
-use gaps_engine::{BatchInstance, OnlineTracker};
+use gaps_engine::{router, BatchInstance, OnlineTracker};
 use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::io::{BufReader, Write};
@@ -124,7 +124,11 @@ fn handle_req(
         send_line(writer, &format!("ERR {id} draining; not accepting work"));
         return;
     }
-    let inst = match parse_one_instance(&text) {
+    // An instance too large for its DP is refused here, on the reader,
+    // before canonicalization allocates its timeline.
+    let checked = parse_one_instance(&text)
+        .and_then(|inst| router::check_dp_limits(&inst, shared.objective).map(|()| inst));
+    let inst = match checked {
         Ok(inst) => inst,
         Err(reason) => {
             metrics.record_protocol_error();

@@ -212,6 +212,16 @@ fn malformed_input_corpus_is_answered_with_err_and_the_daemon_survives() {
         line.starts_with("ERR p-3 ") && line.contains("exactly one"),
         "{line:?}"
     );
+    // An instance too wide for its DP is refused before its 100,001-slot
+    // timeline is allocated, and the connection keeps serving.
+    client.send("REQ wide instance v1;processors 1;job 0 100000;job 5 7");
+    let line = client.recv();
+    assert!(
+        line.starts_with("ERR wide ") && line.contains("baptiste_dp"),
+        "{line:?}"
+    );
+    client.send("REQ narrow instance v1;processors 1;job 0 1");
+    assert!(client.recv().starts_with("RES narrow one n=1 "));
     // Oversized frame: consumed, reported, stream stays synchronized.
     let huge = format!("REQ big {}\n", "x".repeat(MAX_FRAME_BYTES + 10));
     client.send_raw(huge.as_bytes());
@@ -321,8 +331,8 @@ fn shed_mode_degrades_oversized_instances_instead_of_refusing() {
         ..ServeConfig::default()
     });
     let mut client = Client::connect(daemon.addr);
-    // 16 jobs > shed_jobs: served by the approximate chain, not the
-    // exact solver the router would normally pick.
+    // 16 jobs > shed_jobs: answered with the polynomial interval, not
+    // by the exact solver the router would normally pick.
     client.send(&format!(
         "REQ big {}",
         encode_payload(&heavy_instance_text(1))

@@ -152,7 +152,6 @@ usage:
   gaps solve    --input FILE [--objective gaps|spans|power] [--alpha N]
   gaps batch    --input FILE [--objective gaps|spans|power] [--alpha N]
                 [--threads N] [--cache-capacity N]
-                [--fallback approx,greedy,bound]
                 [--replay-online timeout|sleep|never]
                 (--threads N solves that many instances at once; each
                  instance is solved on one thread)
@@ -175,7 +174,7 @@ const FLAGS: &[(&str, &str)] = &[
     ("solve", "input objective alpha"),
     (
         "batch",
-        "input objective alpha threads cache-capacity fallback replay-online",
+        "input objective alpha threads cache-capacity replay-online",
     ),
     ("approx", "input alpha rounds"),
     ("simulate", "input alpha policy"),
@@ -382,20 +381,11 @@ fn cmd_batch(args: &Args) -> Result<String, String> {
     )?;
     // `--threads` fans the batch out across instances; each instance
     // is solved on one worker.
-    let mut router = gap_scheduling::engine::RouterConfig::default();
-    if let Some(list) = args.get("fallback") {
-        router.fallback = list
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(gap_scheduling::engine::FallbackSolver::parse)
-            .collect::<Result<_, _>>()?;
-    }
     let config = gap_scheduling::engine::EngineConfig {
         threads: args.parse_or("threads", 4usize)?,
         cache_capacity: args.parse_or("cache-capacity", 4096usize)?,
         cache_shards: 16,
-        router,
+        router: gap_scheduling::engine::RouterConfig::default(),
     };
     let engine = gap_scheduling::engine::Engine::new(config);
     if let Some(policy) = args.get("replay-online") {
@@ -766,17 +756,15 @@ mod tests {
         assert!(err.contains("exponential"));
 
         // 65 one-slot jobs: one past the 64-job cap, well inside the slot
-        // cap. `solve` refuses; `batch` answers via the fallback chain.
+        // cap. `solve` refuses; `batch` answers with the interval arm,
+        // whose bounds meet here.
         let times: Vec<Vec<i64>> = (0..65).map(|i| vec![2 * i]).collect();
         let inst = MultiInstance::from_times(times).unwrap();
         let path = write_temp("cap65.txt", &serialize::multi_to_text(&inst));
         let err = run_str(&["solve", "--input", &path]).unwrap_err();
         assert!(err.contains("exponential"), "{err}");
         let out = run_str(&["batch", "--input", &path, "--threads", "1"]).unwrap();
-        assert!(
-            out.starts_with("0 multi n=65 gaps<=") && out.contains("solver=lemma3_greedy"),
-            "{out}"
-        );
+        assert_eq!(out, "0 multi n=65 gaps=64 solver=lemma3_greedy\n");
     }
 
     #[test]
@@ -872,10 +860,33 @@ mod tests {
     fn batch_flags_are_validated() {
         let path = write_temp("batch-bad.txt", "instance v1\nprocessors 1\njob 0 1\n");
         assert!(run_str(&["batch", "--input", &path, "--objective", "vibes"]).is_err());
-        assert!(run_str(&["batch", "--input", &path, "--fallback", "magic"]).is_err());
         assert!(run_str(&["batch", "--input", &path, "--threads", "x"]).is_err());
-        let ok = run_str(&["batch", "--input", &path, "--fallback", "greedy,bound"]).unwrap();
+        let err = run_str(&["batch", "--input", &path, "--fallback", "greedy"]).unwrap_err();
+        assert!(err.contains("unknown flag --fallback"), "{err}");
+        let ok = run_str(&["batch", "--input", &path]).unwrap();
         assert!(ok.contains("solver="));
+    }
+
+    #[test]
+    fn batch_refuses_instances_too_wide_for_their_dp() {
+        // A 100,001-slot window routes to Baptiste's DP (≤ 15,998 slots).
+        let wide = "instance v1\nprocessors 1\njob 0 1\ninstance v1\nprocessors 1\njob 0 100000\njob 5 7\n";
+        let path = write_temp("batch-wide.txt", wide);
+        let err = run_str(&["batch", "--input", &path]).unwrap_err();
+        assert!(
+            err.starts_with("instance 1: ") && err.contains("baptiste_dp"),
+            "{err}"
+        );
+        // Under power the dead zone keeps up to α + 1 slots, so two
+        // pinned jobs 10⁶ apart overflow the power DP (≤ 3,998 slots)…
+        let apart = "instance v1\nprocessors 2\njob 0 0\njob 1000000 1000000\n";
+        let path = write_temp("batch-apart.txt", apart);
+        let power = ["--objective", "power", "--alpha", "1000000000"];
+        let err = run_str(&[&["batch", "--input", &path][..], &power[..]].concat()).unwrap_err();
+        assert!(err.contains("power_dp"), "{err}");
+        // …while the gap objective shrinks it to one slot.
+        let ok = run_str(&["batch", "--input", &path]).unwrap();
+        assert_eq!(ok, "0 one n=2 gaps=0 solver=multiproc_dp\n");
     }
 
     #[test]

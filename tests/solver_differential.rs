@@ -17,6 +17,7 @@
 //! stub prints the case number and `PROPTEST_SEED` to replay it (see
 //! README §Testing).
 
+use gap_scheduling::engine::{router, Answer, BatchInstance, Objective, RouterConfig};
 use gap_scheduling::instance::{Instance, MultiInstance};
 use gap_scheduling::{baptiste, brute_force, multi_exact, multiproc_dp, power_dp};
 use proptest::prelude::*;
@@ -126,11 +127,14 @@ proptest! {
     /// branch and bound, fasthash memo, dominance pruning, lower-bound
     /// cutoffs) must bit-match the exhaustive reference on **all three
     /// objectives** — 200 instances per objective per run. Witnesses are
-    /// verified against their instances and claimed values.
+    /// verified against their instances and claimed values. Each case is
+    /// also answered by the shed router, whose interval arm must bracket
+    /// the same optimum.
     #[test]
     fn multi_exact_bit_matches_brute_force(inst in arb_multi(7, 16, 3), alpha in 0u64..8) {
         let me = multi_exact::min_gaps_multi(&inst);
         let bf = brute_force::min_gaps_multi(&inst);
+        let bf_gaps = bf.as_ref().map(|(v, _)| *v);
         prop_assert_eq!(me.is_some(), bf.is_some(), "gap feasibility diverged");
         if let (Some((v, sched)), Some((bfv, _))) = (me, bf) {
             prop_assert_eq!(v, bfv, "gap optimum diverged");
@@ -140,6 +144,7 @@ proptest! {
 
         let me = multi_exact::min_spans_multi(&inst);
         let bf = brute_force::min_spans_multi(&inst);
+        let bf_spans = bf.as_ref().map(|(v, _)| *v);
         prop_assert_eq!(me.is_some(), bf.is_some(), "span feasibility diverged");
         if let (Some((v, sched)), Some((bfv, _))) = (me, bf) {
             prop_assert_eq!(v, bfv, "span optimum diverged");
@@ -149,11 +154,37 @@ proptest! {
 
         let me = multi_exact::min_power_multi(&inst, alpha);
         let bf = brute_force::min_power_multi(&inst, alpha);
+        let bf_power = bf.as_ref().map(|(v, _)| *v);
         prop_assert_eq!(me.is_some(), bf.is_some(), "power feasibility diverged");
         if let (Some((v, sched)), Some((bfv, _))) = (me, bf) {
             prop_assert_eq!(v, bfv, "power optimum diverged (alpha {})", alpha);
             sched.verify(&inst).unwrap();
             prop_assert_eq!(gap_scheduling::power::power_cost_single(&sched, alpha), v);
+        }
+
+        let shed = RouterConfig::default().shed();
+        let batch = BatchInstance::Multi(inst.clone());
+        for (objective, opt) in [
+            (Objective::Gaps, bf_gaps),
+            (Objective::Spans, bf_spans),
+            (Objective::Power { alpha }, bf_power),
+        ] {
+            let (_, answer) = router::solve(&batch, objective, &shed);
+            match (answer, opt) {
+                (Answer::Infeasible, None) => {}
+                (Answer::Exact { value, .. }, Some(opt)) => {
+                    prop_assert_eq!(value, opt, "collapsed interval is not the optimum ({:?})", objective);
+                }
+                (Answer::Within { lower, upper, .. }, Some(opt)) => {
+                    prop_assert!(
+                        lower < upper && lower <= opt && opt <= upper,
+                        "[{}, {}] misses the optimum {} ({:?})", lower, upper, opt, objective
+                    );
+                }
+                (answer, opt) => {
+                    prop_assert!(false, "{:?} for optimum {:?} ({:?})", answer, opt, objective);
+                }
+            }
         }
     }
 }

@@ -14,9 +14,9 @@
 //!
 //! The state evaluation shares the hot-path engineering of
 //! [`crate::multiproc_dp`] via [`crate::dp_interval`] (per-interval
-//! window memoization, pooled split counting, [`crate::fasthash`] memo)
-//! — this is the solver the batch engine routes every `p = 1`
-//! one-interval request to.
+//! window memoization in an arena of `Copy` window handles, pooled split
+//! counting, [`crate::fasthash`] memo) — this is the solver the batch
+//! engine routes every `p = 1` one-interval request to.
 //!
 //! # Critical-time restriction
 //!
@@ -36,10 +36,9 @@
 //! restriction is exactness-preserving and re-proved against
 //! `brute_force` by the differential suite on every run.
 
-use crate::dp_interval::{IntervalIndex, WindowInfo};
+use crate::dp_interval::{IntervalIndex, Window};
 use crate::fasthash::FastMap;
 use crate::instance::Instance;
-use std::rc::Rc;
 
 const INF: u64 = u64::MAX;
 
@@ -280,7 +279,7 @@ impl Ctx {
     }
 
     /// Memoized per-interval window (see [`crate::dp_interval`]).
-    fn window(&mut self, t1: u16, t2: u16) -> Rc<WindowInfo> {
+    fn window(&mut self, t1: u16, t2: u16) -> Window {
         self.intervals.window(&self.jobs, t1, t2)
     }
 
@@ -310,7 +309,7 @@ impl Ctx {
             return INF; // one processor: t2 cannot hold two jobs
         }
         let window = self.window(t1, t2);
-        if (k as usize) > window.jobs.len() {
+        if k as u32 > window.len {
             return INF;
         }
         if t1 == t2 {
@@ -325,7 +324,7 @@ impl Ctx {
             return if !e1 && !e2 { anc as u64 } else { INF };
         }
 
-        let jk = window.jobs[(k - 1) as usize];
+        let jk = self.intervals.job(window, (k - 1) as usize);
         let (rk, dk) = self.jobs[jk as usize];
         let mut best = INF;
 
@@ -346,9 +345,7 @@ impl Ctx {
         if lo > hi {
             return best;
         }
-        let mut split = self
-            .intervals
-            .split_counter(&window.releases[..k as usize], t1, t2, lo);
+        let mut split = self.intervals.split_counter(window, k, t1, t2, lo);
         for tp in lo..=hi {
             // The counter accumulates per column, so it advances even
             // over columns the critical-time restriction rules out.
@@ -438,7 +435,7 @@ impl Ctx {
             return INF;
         }
         let window = self.window(t1, t2);
-        if (k as usize) > window.jobs.len() {
+        if k as u32 > window.len {
             return INF;
         }
         if t1 == t2 {
@@ -459,7 +456,7 @@ impl Ctx {
             return right + cont * interior.min(self.alpha) + fresh * self.alpha;
         }
 
-        let jk = window.jobs[(k - 1) as usize];
+        let jk = self.intervals.job(window, (k - 1) as usize);
         let (rk, dk) = self.jobs[jk as usize];
         let mut best = INF;
 
@@ -479,9 +476,7 @@ impl Ctx {
         if lo > hi {
             return best;
         }
-        let mut split = self
-            .intervals
-            .split_counter(&window.releases[..k as usize], t1, t2, lo);
+        let mut split = self.intervals.split_counter(window, k, t1, t2, lo);
         for tp in lo..=hi {
             let i = (k as u32 - split.advance(tp)) as u16;
             if !self.critical[tp as usize] {

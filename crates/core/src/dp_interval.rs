@@ -8,24 +8,27 @@
 //! This module centralizes both so the solvers cannot drift apart:
 //!
 //! * [`IntervalIndex::window`] memoizes the per-interval job list — built
-//!   once per distinct interval and shared by every state over it,
-//!   indexed through a flat preallocated table on short horizons (hash
-//!   map fallback on long ones);
+//!   once per distinct interval and shared by every state over it. Every
+//!   window's job positions and releases sit back to back in two arena
+//!   vectors, and a window is a `Copy` handle ([`Window`]) into them, so
+//!   a new window costs no allocation of its own. Intervals are indexed
+//!   through a flat preallocated table on short horizons (hash map
+//!   fallback on long ones);
 //! * [`IntervalIndex::split_counter`] hands out a pooled counting buffer
 //!   ([`SplitCounter`]) that replaces the former per-state
 //!   sort + `partition_point` with one O(k) counting pass and a running
 //!   prefix — no sort, no allocation in the steady state.
 
 use crate::fasthash::FastMap;
-use std::rc::Rc;
 
-/// The deadline-ordered jobs of one interval `[t1, t2]`.
-pub(crate) struct WindowInfo {
-    /// Positions (into the solver's deadline-ordered job array) of jobs
-    /// released in the interval, deadline order.
-    pub jobs: Vec<u16>,
-    /// Release of each listed job, same order.
-    pub releases: Vec<u16>,
+/// The deadline-ordered jobs of one interval `[t1, t2]`: a handle to
+/// `len` consecutive arena entries of its [`IntervalIndex`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Window {
+    /// First arena entry.
+    start: u32,
+    /// Number of jobs released in the interval.
+    pub len: u32,
 }
 
 /// Horizon-squared budget under which intervals are indexed through a
@@ -33,8 +36,8 @@ pub(crate) struct WindowInfo {
 /// horizons fall back to a hash map.
 const FLAT_INTERVAL_LIMIT: usize = 1 << 20;
 
-/// Memoized interval → [`WindowInfo`] index plus the counting-buffer
-/// pool. One per solver context.
+/// Memoized interval → [`Window`] index plus the counting-buffer pool.
+/// One per solver context.
 pub(crate) struct IntervalIndex {
     /// Padded horizon length (`t_max + 1`).
     t_len: u32,
@@ -43,8 +46,13 @@ pub(crate) struct IntervalIndex {
     slots: Vec<u32>,
     /// Fallback interval index for long horizons.
     map: FastMap<u32, u32>,
-    /// Window storage; ids index here.
-    windows: Vec<Rc<WindowInfo>>,
+    /// Window handles; ids index here.
+    windows: Vec<Window>,
+    /// Arena of every window's job positions (into the solver's
+    /// deadline-ordered job array), deadline order within a window.
+    positions: Vec<u16>,
+    /// Release of each arena entry, same layout as `positions`.
+    releases: Vec<u16>,
     /// Pool of reusable counting buffers (one per recursion depth in
     /// flight).
     scratch: Vec<Vec<u32>>,
@@ -59,14 +67,15 @@ impl IntervalIndex {
             slots: if flat { vec![0; len * len] } else { Vec::new() },
             map: FastMap::default(),
             windows: Vec::new(),
+            positions: Vec::new(),
+            releases: Vec::new(),
             scratch: Vec::new(),
         }
     }
 
-    /// The memoized window of `[t1, t2]`: deadline-ordered positions of
-    /// the jobs (given as `(release, deadline)` pairs in deadline order)
-    /// released inside, plus their releases.
-    pub(crate) fn window(&mut self, jobs: &[(u16, u16)], t1: u16, t2: u16) -> Rc<WindowInfo> {
+    /// The memoized window of `[t1, t2]`: the jobs (given as
+    /// `(release, deadline)` pairs in deadline order) released inside.
+    pub(crate) fn window(&mut self, jobs: &[(u16, u16)], t1: u16, t2: u16) -> Window {
         let iid = t1 as u32 * self.t_len + t2 as u32;
         let slot = if self.slots.is_empty() {
             self.map.get(&iid).copied().unwrap_or(0)
@@ -74,46 +83,56 @@ impl IntervalIndex {
             self.slots[iid as usize]
         };
         if slot != 0 {
-            return Rc::clone(&self.windows[(slot - 1) as usize]);
+            return self.windows[(slot - 1) as usize];
         }
-        let mut in_window = Vec::new();
-        let mut releases = Vec::new();
+        let start = self.positions.len();
         for (i, &(r, _)) in jobs.iter().enumerate() {
             if t1 <= r && r <= t2 {
-                in_window.push(i as u16);
-                releases.push(r);
+                self.positions.push(i as u16);
+                self.releases.push(r);
             }
         }
-        let info = Rc::new(WindowInfo {
-            jobs: in_window,
-            releases,
-        });
-        self.windows.push(Rc::clone(&info));
+        let window = Window {
+            start: start as u32,
+            len: (self.positions.len() - start) as u32,
+        };
+        self.windows.push(window);
         let id = self.windows.len() as u32;
         if self.slots.is_empty() {
             self.map.insert(iid, id);
         } else {
             self.slots[iid as usize] = id;
         }
-        info
+        window
+    }
+
+    /// Position (into the solver's deadline-ordered job array) of the
+    /// `idx`-th job of `window`, deadline order.
+    #[inline]
+    pub(crate) fn job(&self, window: Window, idx: usize) -> u16 {
+        debug_assert!(idx < window.len as usize);
+        self.positions[window.start as usize + idx]
     }
 
     /// A counter for the split loop over `t′ ∈ [lo, ..]` of a state on
-    /// `[t1, t2]`: `releases` are the releases of the job prefix being
-    /// split (all in `[t1, t2]`). Call [`SplitCounter::advance`] with
-    /// strictly increasing `t′` starting at `lo`; return the counter via
+    /// `[t1, t2]` that splits the first `k` jobs of `window` (the window
+    /// of `[t1, t2]`). Call [`SplitCounter::advance`] with strictly
+    /// increasing `t′` starting at `lo`; return the counter via
     /// [`IntervalIndex::recycle`] when done.
     pub(crate) fn split_counter(
         &mut self,
-        releases: &[u16],
+        window: Window,
+        k: u16,
         t1: u16,
         t2: u16,
         lo: u16,
     ) -> SplitCounter {
+        debug_assert!(k as u32 <= window.len);
         let mut cnt = self.scratch.pop().unwrap_or_default();
         cnt.clear();
         cnt.resize((t2 - t1 + 1) as usize, 0);
-        for &r in releases {
+        let start = window.start as usize;
+        for &r in &self.releases[start..start + k as usize] {
             cnt[(r - t1) as usize] += 1;
         }
         let mut released_le = 0u32;
@@ -161,11 +180,31 @@ mod tests {
         let jobs = vec![(1u16, 3u16), (2, 2), (5, 6), (0, 9)];
         let mut index = IntervalIndex::new(12);
         let w = index.window(&jobs, 1, 5);
-        assert_eq!(w.jobs, vec![0, 1, 2]);
-        assert_eq!(w.releases, vec![1, 2, 5]);
-        let again = index.window(&jobs, 1, 5);
-        assert!(Rc::ptr_eq(&w, &again), "second lookup must be memoized");
-        assert_eq!(index.windows.len(), 1);
+        let positions: Vec<u16> = (0..w.len as usize).map(|i| index.job(w, i)).collect();
+        assert_eq!(positions, vec![0, 1, 2]);
+        // A second window lands after the first, filtered on its own.
+        let v = index.window(&jobs, 0, 2);
+        let positions: Vec<u16> = (0..v.len as usize).map(|i| index.job(v, i)).collect();
+        assert_eq!(positions, vec![0, 1, 3]);
+        assert_eq!(index.releases, vec![1, 2, 5, 1, 2, 0]);
+        assert_eq!(
+            index.window(&jobs, 6, 8).len,
+            0,
+            "no job released in [6, 8]"
+        );
+        // Repeated lookups return the same handle without growing the arena.
+        let arena = index.positions.len();
+        assert_eq!(
+            index.window(&jobs, 1, 5),
+            w,
+            "second lookup must be memoized"
+        );
+        assert_eq!(index.window(&jobs, 0, 2), v);
+        assert_eq!(
+            (index.positions.len(), index.releases.len()),
+            (arena, arena)
+        );
+        assert_eq!(index.windows.len(), 3);
     }
 
     #[test]
@@ -174,8 +213,11 @@ mod tests {
         let (t1, t2, lo) = (1u16, 9u16, 3u16);
         let mut sorted = releases.to_vec();
         sorted.sort_unstable();
+        let jobs: Vec<(u16, u16)> = releases.iter().map(|&r| (r, 9)).collect();
         let mut index = IntervalIndex::new(10);
-        let mut counter = index.split_counter(&releases, t1, t2, lo);
+        let window = index.window(&jobs, t1, t2);
+        assert_eq!(window.len, releases.len() as u32);
+        let mut counter = index.split_counter(window, releases.len() as u16, t1, t2, lo);
         for tp in lo..=t2 {
             let expected = sorted.partition_point(|&r| r <= tp) as u32;
             assert_eq!(counter.advance(tp), expected, "tp = {tp}");

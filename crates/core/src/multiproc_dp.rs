@@ -61,8 +61,10 @@
 //! * **interval memoization** — the deadline-ordered job list of a window
 //!   `[t1, t2]` (and its releases) is computed once per distinct interval
 //!   and shared by every state over that interval, instead of rescanning
-//!   all jobs per state (see [`crate::dp_interval`], shared with the
-//!   other interval DPs);
+//!   all jobs per state. Windows sit back to back in one arena and a
+//!   state holds a `Copy` handle, so a new window allocates nothing of
+//!   its own (see [`crate::dp_interval`], shared with the other interval
+//!   DPs);
 //! * **dominance pruning** — states whose `k` window jobs cannot fit the
 //!   column capacities (`o1` at `t1`, `o2` at `t2`, `≤ cap` per interior
 //!   column) are cut to `INF` without expanding children;
@@ -70,17 +72,20 @@
 //!   reusable per-depth counting buffer (one pass over the `k` releases
 //!   plus a running prefix), replacing the per-state sort;
 //! * **fast memo hashing** — the packed-`u64` state memo uses
-//!   [`crate::fasthash`] instead of SipHash.
+//!   [`crate::fasthash`] instead of SipHash;
+//! * **value-only solves** — [`min_span_value`] and [`min_gap_value`]
+//!   return the memoized optimum; only the `min_*_schedule` functions
+//!   walk the memo to build a witness. Debug builds re-derive the
+//!   witness in the value path too and check its cost.
 //!
 //! None of this changes the recursion: optima and witnesses are identical
 //! to the reference formulation, which `tests/solver_differential.rs`
 //! re-proves against `brute_force` on every run.
 
-use crate::dp_interval::{IntervalIndex, WindowInfo};
+use crate::dp_interval::{IntervalIndex, Window};
 use crate::fasthash::FastMap;
 use crate::instance::Instance;
 use crate::schedule::{Assignment, Schedule};
-use std::rc::Rc;
 
 const INF: u32 = u32::MAX;
 
@@ -147,47 +152,52 @@ pub fn min_gap_schedule(inst: &Instance) -> Option<GapSolution> {
     })
 }
 
-/// Convenience: optimal finite-gap count only.
+/// Optimal finite-gap count only: `max(0, G(p) − p)` from the memoized
+/// optimum, without building a witness.
 pub fn min_gap_value(inst: &Instance) -> Option<u64> {
-    min_gap_schedule(inst).map(|s| s.gaps)
+    let spans = min_span_value(inst)?;
+    Some(spans.saturating_sub(inst.processors() as u64))
 }
 
-/// Convenience: optimal span/transition count `G(p)` only.
+/// Optimal span/transition count `G(p)` only: the memoized optimum,
+/// without building a witness.
 pub fn min_span_value(inst: &Instance) -> Option<u64> {
-    min_span_schedule(inst).map(|s| s.spans)
+    if inst.job_count() == 0 {
+        return Some(0);
+    }
+    let mut ctx = Ctx::feasible(inst)?;
+    let spans = ctx.optimum();
+    // Debug builds re-derive the witness once from the same memo: its
+    // span count and its spread's gap count must match the values the
+    // two value-only entry points return.
+    #[cfg(debug_assertions)]
+    {
+        let p = inst.processors();
+        let witness = ctx.witness(inst);
+        debug_assert_eq!(
+            witness.span_count(p),
+            spans,
+            "witness spans disagree with the value-only optimum"
+        );
+        debug_assert_eq!(
+            witness.spread_for_min_gaps(p).gap_count(p),
+            spans.saturating_sub(p as u64),
+            "witness gaps disagree with the value-only optimum"
+        );
+    }
+    Some(spans)
 }
 
 /// Core solver: `(G(p), prefix witness)`.
 fn solve(inst: &Instance) -> Option<(u64, Schedule)> {
-    let n = inst.job_count();
-    if n == 0 {
+    if inst.job_count() == 0 {
         return Some((0, Schedule::new(vec![])));
     }
-    // Fast infeasibility exit (EDF is exact for unit jobs).
-    crate::edf::edf(inst).ok()?;
-
-    let mut ctx = Ctx::new(inst);
-    let top = ctx.top_state();
-    let spans = ctx.value(top);
-    assert_ne!(spans, INF, "EDF said feasible, DP must agree");
-
-    let mut placements: Vec<(i64, u32)> = vec![(i64::MIN, 0); n];
-    ctx.walk(top, &mut placements);
-    let assignments = placements
-        .iter()
-        .map(|&(t, q)| {
-            debug_assert!(t != i64::MIN, "every job must be placed");
-            Assignment {
-                time: ctx.t0 + t,
-                processor: q,
-            }
-        })
-        .collect();
-    let schedule = Schedule::new(assignments);
-    debug_assert_eq!(schedule.verify(inst), Ok(()));
-    debug_assert!(schedule.is_prefix_structured());
-    debug_assert_eq!(schedule.span_count(inst.processors()), spans as u64);
-    Some((spans as u64, schedule))
+    let mut ctx = Ctx::feasible(inst)?;
+    let spans = ctx.optimum();
+    let schedule = ctx.witness(inst);
+    debug_assert_eq!(schedule.span_count(inst.processors()), spans);
+    Some((spans, schedule))
 }
 
 /// A DP state (times are indices into the padded timeline).
@@ -275,9 +285,42 @@ impl Ctx {
         }
     }
 
-    /// The memoized window of `[t1, t2]` (deadline-ordered positions of
-    /// jobs released inside, plus their releases).
-    fn window(&mut self, t1: u16, t2: u16) -> Rc<WindowInfo> {
+    /// The DP context of a non-empty instance, or `None` if it is
+    /// infeasible (EDF is exact for unit jobs).
+    fn feasible(inst: &Instance) -> Option<Ctx> {
+        crate::edf::edf(inst).ok()?;
+        Some(Ctx::new(inst))
+    }
+
+    /// The optimum `G(p)` of the top state.
+    fn optimum(&mut self) -> u64 {
+        let spans = self.value(self.top_state());
+        assert_ne!(spans, INF, "EDF said feasible, DP must agree");
+        spans as u64
+    }
+
+    /// One optimal prefix witness, walked down the memo.
+    fn witness(&mut self, inst: &Instance) -> Schedule {
+        let mut placements: Vec<(i64, u32)> = vec![(i64::MIN, 0); self.jobs.len()];
+        self.walk(self.top_state(), &mut placements);
+        let assignments = placements
+            .iter()
+            .map(|&(t, q)| {
+                debug_assert!(t != i64::MIN, "every job must be placed");
+                Assignment {
+                    time: self.t0 + t,
+                    processor: q,
+                }
+            })
+            .collect();
+        let schedule = Schedule::new(assignments);
+        debug_assert_eq!(schedule.verify(inst), Ok(()));
+        debug_assert!(schedule.is_prefix_structured());
+        schedule
+    }
+
+    /// The memoized window of `[t1, t2]`.
+    fn window(&mut self, t1: u16, t2: u16) -> Window {
         self.intervals.window(&self.jobs, t1, t2)
     }
 
@@ -306,7 +349,7 @@ impl Ctx {
             return INF;
         }
         let window = self.window(t1, t2);
-        if (k as usize) > window.jobs.len() {
+        if k as u32 > window.len {
             return INF;
         }
 
@@ -338,7 +381,7 @@ impl Ctx {
             return INF;
         }
 
-        let jk = window.jobs[(k - 1) as usize];
+        let jk = self.intervals.job(window, (k - 1) as usize);
         let (rk, dk) = self.jobs[jk as usize];
         let mut best = INF;
 
@@ -364,9 +407,7 @@ impl Ctx {
         if lo > hi {
             return best;
         }
-        let mut split = self
-            .intervals
-            .split_counter(&window.releases[..k as usize], t1, t2, lo);
+        let mut split = self.intervals.split_counter(window, k, t1, t2, lo);
         for tp in lo..=hi {
             let i = (k as u32 - split.advance(tp)) as u16;
             debug_assert!(i < k, "jk has release ≤ t′, so i ≤ k − 1");
@@ -470,7 +511,8 @@ impl Ctx {
 
         // Single-point base: place all k jobs at t1 on processors q..q+k.
         if t1 == t2 {
-            for (rank, &j) in window.jobs[..k as usize].iter().enumerate() {
+            for rank in 0..k as usize {
+                let j = self.intervals.job(window, rank);
                 let job = self.order[j as usize] as usize;
                 placements[job] = (t1 as i64, q as u32 + rank as u32);
             }
@@ -480,7 +522,7 @@ impl Ctx {
             return;
         }
 
-        let jk = window.jobs[(k - 1) as usize];
+        let jk = self.intervals.job(window, (k - 1) as usize);
         let job_k = self.order[jk as usize] as usize;
         let (rk, dk) = self.jobs[jk as usize];
 
@@ -503,9 +545,7 @@ impl Ctx {
 
         let lo = t1.max(rk);
         let hi = dk.min(t2 - 1);
-        let mut split = self
-            .intervals
-            .split_counter(&window.releases[..k as usize], t1, t2, lo);
+        let mut split = self.intervals.split_counter(window, k, t1, t2, lo);
         for tp in lo..=hi {
             let i = (k as u32 - split.advance(tp)) as u16;
             let k1 = k - 1 - i;

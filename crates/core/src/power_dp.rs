@@ -41,18 +41,20 @@
 //!
 //! The state evaluation shares the hot-path engineering of
 //! [`crate::multiproc_dp`] (via [`crate::dp_interval`]): per-interval
-//! window memoization (flat preallocated interval table on short
-//! horizons), dominance pruning of states whose jobs cannot fit the
-//! edge/interior capacities, pooled counting buffers for the split loop,
-//! and a [`crate::fasthash`] memo. The recursion itself is unchanged;
-//! `tests/solver_differential.rs` re-proves exactness against
+//! window memoization (arena-backed `Copy` window handles, flat
+//! preallocated interval table on short horizons), dominance pruning of
+//! states whose jobs cannot fit the edge/interior capacities, pooled
+//! counting buffers for the split loop, and a [`crate::fasthash`] memo.
+//! [`min_power_value`] returns the memoized optimum without building a
+//! witness (debug builds re-derive one and check its power); only
+//! [`min_power_schedule`] walks the memo. The recursion itself is
+//! unchanged; `tests/solver_differential.rs` re-proves exactness against
 //! `brute_force` on every run.
 
-use crate::dp_interval::{IntervalIndex, WindowInfo};
+use crate::dp_interval::{IntervalIndex, Window};
 use crate::fasthash::FastMap;
 use crate::instance::Instance;
 use crate::schedule::{Assignment, Schedule};
-use std::rc::Rc;
 
 const INF: u64 = u64::MAX;
 
@@ -92,35 +94,15 @@ pub struct PowerSolution {
 /// assert_eq!(min_power_schedule(&inst, 5).unwrap().power, 9);
 /// ```
 pub fn min_power_schedule(inst: &Instance, alpha: u64) -> Option<PowerSolution> {
-    let n = inst.job_count();
-    if n == 0 {
+    if inst.job_count() == 0 {
         return Some(PowerSolution {
             power: 0,
             schedule: Schedule::new(vec![]),
         });
     }
-    crate::edf::edf(inst).ok()?;
-
-    let mut ctx = Ctx::new(inst, alpha);
-    let top = ctx.top_state();
-    let power = ctx.value(top);
-    assert_ne!(power, INF, "EDF said feasible, DP must agree");
-
-    let mut placements: Vec<(i64, u32)> = vec![(i64::MIN, 0); n];
-    ctx.walk(top, &mut placements);
-    let assignments = placements
-        .iter()
-        .map(|&(t, q)| {
-            debug_assert!(t != i64::MIN, "every job must be placed");
-            Assignment {
-                time: ctx.t0 + t,
-                processor: q,
-            }
-        })
-        .collect();
-    let schedule = Schedule::new(assignments);
-    debug_assert_eq!(schedule.verify(inst), Ok(()));
-    debug_assert!(schedule.is_prefix_structured());
+    let mut ctx = Ctx::feasible(inst, alpha)?;
+    let power = ctx.optimum();
+    let schedule = ctx.witness(inst);
     debug_assert_eq!(
         crate::power::power_cost_multiproc(&schedule, inst.processors(), alpha),
         power,
@@ -129,9 +111,23 @@ pub fn min_power_schedule(inst: &Instance, alpha: u64) -> Option<PowerSolution> 
     Some(PowerSolution { power, schedule })
 }
 
-/// Convenience: just the optimal power.
+/// Just the optimal power: the memoized optimum, without building a
+/// witness.
 pub fn min_power_value(inst: &Instance, alpha: u64) -> Option<u64> {
-    min_power_schedule(inst, alpha).map(|s| s.power)
+    if inst.job_count() == 0 {
+        return Some(0);
+    }
+    let mut ctx = Ctx::feasible(inst, alpha)?;
+    let power = ctx.optimum();
+    // Debug builds re-derive the witness once from the same memo and
+    // check its power against the value returned.
+    #[cfg(debug_assertions)]
+    debug_assert_eq!(
+        crate::power::power_cost_multiproc(&ctx.witness(inst), inst.processors(), alpha),
+        power,
+        "witness power disagrees with the value-only optimum"
+    );
+    Some(power)
 }
 
 /// DP state; `a1`, `a2` are **active** counts at the edges (own actives;
@@ -215,7 +211,41 @@ impl Ctx {
         }
     }
 
-    fn window(&mut self, t1: u16, t2: u16) -> Rc<WindowInfo> {
+    /// The DP context of a non-empty instance, or `None` if it is
+    /// infeasible (EDF is exact for unit jobs).
+    fn feasible(inst: &Instance, alpha: u64) -> Option<Ctx> {
+        crate::edf::edf(inst).ok()?;
+        Some(Ctx::new(inst, alpha))
+    }
+
+    /// The optimal power of the top state.
+    fn optimum(&mut self) -> u64 {
+        let power = self.value(self.top_state());
+        assert_ne!(power, INF, "EDF said feasible, DP must agree");
+        power
+    }
+
+    /// One optimal prefix witness, walked down the memo.
+    fn witness(&mut self, inst: &Instance) -> Schedule {
+        let mut placements: Vec<(i64, u32)> = vec![(i64::MIN, 0); self.jobs.len()];
+        self.walk(self.top_state(), &mut placements);
+        let assignments = placements
+            .iter()
+            .map(|&(t, q)| {
+                debug_assert!(t != i64::MIN, "every job must be placed");
+                Assignment {
+                    time: self.t0 + t,
+                    processor: q,
+                }
+            })
+            .collect();
+        let schedule = Schedule::new(assignments);
+        debug_assert_eq!(schedule.verify(inst), Ok(()));
+        debug_assert!(schedule.is_prefix_structured());
+        schedule
+    }
+
+    fn window(&mut self, t1: u16, t2: u16) -> Window {
         self.intervals.window(&self.jobs, t1, t2)
     }
 
@@ -252,7 +282,7 @@ impl Ctx {
             return INF;
         }
         let window = self.window(t1, t2);
-        if (k as usize) > window.jobs.len() {
+        if k as u32 > window.len {
             return INF;
         }
 
@@ -275,7 +305,7 @@ impl Ctx {
             return INF;
         }
 
-        let jk = window.jobs[(k - 1) as usize];
+        let jk = self.intervals.job(window, (k - 1) as usize);
         let (rk, dk) = self.jobs[jk as usize];
         let mut best = INF;
 
@@ -299,9 +329,7 @@ impl Ctx {
         if lo > hi {
             return best;
         }
-        let mut split = self
-            .intervals
-            .split_counter(&window.releases[..k as usize], t1, t2, lo);
+        let mut split = self.intervals.split_counter(window, k, t1, t2, lo);
         for tp in lo..=hi {
             let i = (k as u32 - split.advance(tp)) as u16;
             debug_assert!(i < k);
@@ -400,7 +428,8 @@ impl Ctx {
         let window = self.window(t1, t2);
 
         if t1 == t2 {
-            for (rank, &j) in window.jobs[..k as usize].iter().enumerate() {
+            for rank in 0..k as usize {
+                let j = self.intervals.job(window, rank);
                 let job = self.order[j as usize] as usize;
                 placements[job] = (t1 as i64, q as u32 + rank as u32);
             }
@@ -410,7 +439,7 @@ impl Ctx {
             return;
         }
 
-        let jk = window.jobs[(k - 1) as usize];
+        let jk = self.intervals.job(window, (k - 1) as usize);
         let job_k = self.order[jk as usize] as usize;
         let (rk, dk) = self.jobs[jk as usize];
 
@@ -432,9 +461,7 @@ impl Ctx {
 
         let lo = t1.max(rk);
         let hi = dk.min(t2 - 1);
-        let mut split = self
-            .intervals
-            .split_counter(&window.releases[..k as usize], t1, t2, lo);
+        let mut split = self.intervals.split_counter(window, k, t1, t2, lo);
         for tp in lo..=hi {
             let i = (k as u32 - split.advance(tp)) as u16;
             let k1 = k - 1 - i;

@@ -308,7 +308,11 @@ fn cmd_solve(args: &Args) -> Result<String, String> {
     let objective = args.get("objective").unwrap_or("gaps");
     let alpha: u64 = args.parse_or("alpha", 1u64)?;
     let mut out = String::new();
-    match load(args.require("input")?)? {
+    let loaded = load(args.require("input")?)?;
+    if let AnyInstance::One(inst) = &loaded {
+        check_raw_dp_limits(inst, objective == "power")?;
+    }
+    match loaded {
         AnyInstance::One(inst) => match objective {
             "gaps" => match multiproc_dp::min_gap_schedule(&inst) {
                 Some(sol) => {
@@ -514,6 +518,7 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
     let AnyInstance::One(inst) = load(args.require("input")?)? else {
         return Err("`gaps simulate` expects a one-interval instance".into());
     };
+    check_raw_dp_limits(&inst, true)?;
     let sched = power_dp::min_power_schedule(&inst, alpha)
         .ok_or("instance is infeasible")?
         .schedule;
@@ -528,6 +533,33 @@ fn cmd_simulate(args: &Args) -> Result<String, String> {
         );
     }
     Ok(out)
+}
+
+/// Refuse a one-interval instance too wide for the Theorem 1/2 DP that
+/// `solve` and `simulate` run on its raw, uncompressed horizon (padded
+/// with a sentinel slot at each end), naming the solver and its limits.
+fn check_raw_dp_limits(inst: &Instance, power: bool) -> Result<(), String> {
+    let (solver, max_timeline, max_jobs) = if power {
+        ("power_dp", power_dp::MAX_TIMELINE, power_dp::MAX_JOBS)
+    } else {
+        (
+            "multiproc_dp",
+            multiproc_dp::MAX_TIMELINE,
+            multiproc_dp::MAX_JOBS,
+        )
+    };
+    let Some(horizon) = inst.horizon() else {
+        return Ok(());
+    };
+    let padded = horizon.end.saturating_sub(horizon.start).saturating_add(3);
+    if padded <= max_timeline && inst.job_count() <= max_jobs {
+        return Ok(());
+    }
+    Err(format!(
+        "{} jobs over a {padded}-slot padded horizon exceed what {solver} takes \
+         (at most {max_jobs} jobs and {max_timeline} slots)",
+        inst.job_count()
+    ))
 }
 
 fn cmd_generate(args: &Args) -> Result<String, String> {
@@ -887,6 +919,33 @@ mod tests {
         // …while the gap objective shrinks it to one slot.
         let ok = run_str(&["batch", "--input", &path]).unwrap();
         assert_eq!(ok, "0 one n=2 gaps=0 solver=multiproc_dp\n");
+    }
+
+    #[test]
+    fn solve_and_simulate_refuse_instances_too_wide_for_their_dp() {
+        // A 5,003-slot padded horizon overflows both Theorem 1/2 DPs
+        // (≤ 4,000 slots); `solve` and `simulate` run them uncompressed.
+        let wide = "instance v1\nprocessors 2\njob 0 5000\njob 1 4999\njob 2 5000\n";
+        let path = write_temp("solve-wide.txt", wide);
+        for objective in ["gaps", "spans"] {
+            let err = run_str(&["solve", "--input", &path, "--objective", objective]).unwrap_err();
+            assert!(
+                err.contains("5003-slot") && err.contains("multiproc_dp") && err.contains("4000"),
+                "{err}"
+            );
+        }
+        let power = ["--objective", "power", "--alpha", "2"];
+        let err = run_str(&[&["solve", "--input", &path][..], &power[..]].concat()).unwrap_err();
+        assert!(err.contains("power_dp") && err.contains("4000"), "{err}");
+        let err = run_str(&["simulate", "--input", &path, "--alpha", "2"]).unwrap_err();
+        assert!(err.contains("power_dp") && err.contains("4000"), "{err}");
+        // A narrow instance of the same shape still solves.
+        let narrow = "instance v1\nprocessors 2\njob 0 50\njob 1 49\njob 2 50\n";
+        let path = write_temp("solve-narrow.txt", narrow);
+        let ok = run_str(&["solve", "--input", &path]).unwrap();
+        assert!(ok.starts_with("optimal gaps: 0\n"), "{ok}");
+        let ok = run_str(&["simulate", "--input", &path, "--alpha", "2"]).unwrap();
+        assert!(ok.contains("total energy:"), "{ok}");
     }
 
     #[test]

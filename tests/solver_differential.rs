@@ -10,7 +10,7 @@
 //! `brute_force`. Witness schedules are verified against their instances
 //! and their claimed objective values.
 //!
-//! Together the one-interval properties draw 640 instances per run — 160
+//! Together the one-interval properties draw 800 instances per run — 160
 //! cases each, comfortably over the ≥ 500 acceptance floor — and the
 //! multi-interval block below adds 200 more, each checked on all three
 //! objectives against the exhaustive reference; on failure the proptest
@@ -73,6 +73,26 @@ proptest! {
             prop_assert_eq!(dp.power, bf, "power optimum diverged (alpha {})", alpha);
             dp.schedule.verify(&inst).unwrap();
         }
+    }
+
+    /// The value-only entry points return the memoized optimum without
+    /// walking a witness; the witness path must land on the same number
+    /// (and the same feasibility verdict) for every objective.
+    #[test]
+    fn dp_values_match_their_witness_solves(inst in arb_instance(7, 9, 4), alpha in 0u64..8) {
+        prop_assert_eq!(
+            multiproc_dp::min_gap_value(&inst),
+            multiproc_dp::min_gap_schedule(&inst).map(|s| s.gaps)
+        );
+        prop_assert_eq!(
+            multiproc_dp::min_span_value(&inst),
+            multiproc_dp::min_span_schedule(&inst).map(|s| s.spans)
+        );
+        prop_assert_eq!(
+            power_dp::min_power_value(&inst, alpha),
+            power_dp::min_power_schedule(&inst, alpha).map(|s| s.power),
+            "alpha {}", alpha
+        );
     }
 
     /// One-interval p = 1 instances re-solved through the *multi-interval*
